@@ -8,12 +8,6 @@
 //! initiations, `n` payload snapshots, and up to `n` deliveries), at
 //! `n ∈ {256, 1024, 4096}`. Reported throughput is simulated
 //! rounds per wall-clock second, aggregated over several seeds.
-//!
-//! A second `thread_scaling` section pins the parallel engine's
-//! speedup: the `n = 4096` clique at 1/2/4/8 worker threads, with
-//! speedup relative to the 1-thread run. Outcomes are byte-identical
-//! across thread counts (the engine's deterministic-merge contract), so
-//! every row simulates the exact same rounds.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -27,17 +21,11 @@ use latency_graph::{generators, Graph, NodeId};
 /// Sizes the baseline covers.
 pub const SIZES: [usize; 3] = [256, 1024, 4096];
 
-/// Thread counts the `thread_scaling` section sweeps (on the largest
-/// clique in [`SIZES`]).
-pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// One measured size.
 #[derive(Clone, Copy, Debug)]
 pub struct EnginePoint {
     /// Clique size `n`.
     pub n: usize,
-    /// Engine worker threads.
-    pub threads: usize,
     /// Seeds run (after one discarded warm-up).
     pub trials: u64,
     /// Total simulated rounds across all trials.
@@ -53,15 +41,12 @@ impl EnginePoint {
     }
 }
 
-/// Runs push-pull all-to-all on an `n`-clique over `trials` seeds with
-/// `threads` engine workers and returns the aggregate measurement.
-pub fn measure_clique_mt(n: usize, trials: u64, threads: usize) -> EnginePoint {
+/// Runs push-pull all-to-all on an `n`-clique over `trials` seeds and
+/// returns the aggregate measurement.
+pub fn measure_clique(n: usize, trials: u64) -> EnginePoint {
     let g = generators::clique(n);
-    let cfg = PushPullConfig {
-        threads,
-        ..PushPullConfig::default()
-    };
-    // Warm-up run (allocator, page faults, worker spin-up) — not timed.
+    let cfg = PushPullConfig::default();
+    // Warm-up run (allocator, page faults) — not timed.
     let _ = push_pull::all_to_all(&g, &cfg, 0x5eed);
     let mut rounds = 0u64;
     let start = Instant::now();
@@ -72,16 +57,10 @@ pub fn measure_clique_mt(n: usize, trials: u64, threads: usize) -> EnginePoint {
     }
     EnginePoint {
         n,
-        threads,
         trials,
         rounds,
         secs: start.elapsed().as_secs_f64(),
     }
-}
-
-/// [`measure_clique_mt`] on the exact sequential path (one thread).
-pub fn measure_clique(n: usize, trials: u64) -> EnginePoint {
-    measure_clique_mt(n, trials, 1)
 }
 
 /// Sizes the `large_n` frontier-engine section covers.
@@ -206,7 +185,6 @@ impl LargePoint {
 fn timed_broadcast(g: &Graph, protocol: &'static str, mode: EngineMode) -> (SparseOutcome, f64) {
     let cfg = SparseConfig {
         max_rounds: 100_000_000,
-        threads: 1,
         mode,
     };
     let start = Instant::now();
@@ -332,23 +310,17 @@ pub const LARGE_OMITTED: [(&str, &str, usize, &str); 3] = [
     ),
 ];
 
-/// Runs the full baseline (`SIZES` sequentially, then the
-/// `thread_scaling` sweep on the largest size, then the `large_n`
+/// Runs the full baseline (`SIZES` sequentially, then the `large_n`
 /// frontier grid and the dense-vs-frontier comparison) and renders the
 /// `BENCH_engine.json` document.
 pub fn run(trials: u64) -> String {
     let points: Vec<EnginePoint> = SIZES.iter().map(|&n| measure_clique(n, trials)).collect();
-    let scaling_n = *SIZES.last().expect("SIZES is non-empty");
-    let scaling: Vec<EnginePoint> = THREAD_COUNTS
-        .iter()
-        .map(|&t| measure_clique_mt(scaling_n, trials, t))
-        .collect();
     let large: Vec<LargePoint> = LARGE_CELLS
         .iter()
         .map(|&(family, protocol, n)| measure_large(family, protocol, n))
         .collect();
     let comparison = compare_modes("layered-ring", "flood", LARGE_SIZES[0]);
-    to_json(&points, &scaling, &large, Some(&comparison))
+    to_json(&points, &large, Some(&comparison))
 }
 
 /// CI smoke variant of the `large_n` section: one-to-all flooding at
@@ -370,16 +342,14 @@ pub fn run_large_smoke(rss_ceiling_kb: u64) -> String {
         peak > 0 && peak <= rss_ceiling_kb,
         "peak RSS {peak} kB exceeds the {rss_ceiling_kb} kB smoke ceiling"
     );
-    to_json(&[], &[], &large, None)
+    to_json(&[], &large, None)
 }
 
 /// Renders measurements as a small, dependency-free JSON document.
-/// `scaling` holds the `thread_scaling` sweep; its 1-thread entry (if
-/// present) is the speedup baseline. `large` holds the frontier-engine
-/// `large_n` grid and `comparison` the dense-vs-frontier timing.
+/// `large` holds the frontier-engine `large_n` grid and `comparison`
+/// the dense-vs-frontier timing.
 pub fn to_json(
     points: &[EnginePoint],
-    scaling: &[EnginePoint],
     large: &[LargePoint],
     comparison: Option<&ModeComparison>,
 ) -> String {
@@ -391,35 +361,13 @@ pub fn to_json(
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"n\": {}, \"threads\": {}, \"trials\": {}, \"total_rounds\": {}, \"total_secs\": {:.6}, \"rounds_per_sec\": {:.2}}}{}",
+            "    {{\"n\": {}, \"trials\": {}, \"total_rounds\": {}, \"total_secs\": {:.6}, \"rounds_per_sec\": {:.2}}}{}",
             p.n,
-            p.threads,
             p.trials,
             p.rounds,
             p.secs,
             p.rounds_per_sec(),
             if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"thread_scaling\": [\n");
-    let base = scaling
-        .iter()
-        .find(|p| p.threads == 1)
-        .map(EnginePoint::rounds_per_sec);
-    for (i, p) in scaling.iter().enumerate() {
-        let speedup = base.map_or(1.0, |b| p.rounds_per_sec() / b);
-        let _ = writeln!(
-            s,
-            "    {{\"n\": {}, \"threads\": {}, \"trials\": {}, \"total_rounds\": {}, \"total_secs\": {:.6}, \"rounds_per_sec\": {:.2}, \"speedup_vs_1thread\": {:.2}}}{}",
-            p.n,
-            p.threads,
-            p.trials,
-            p.rounds,
-            p.secs,
-            p.rounds_per_sec(),
-            speedup,
-            if i + 1 < scaling.len() { "," } else { "" }
         );
     }
     s.push_str("  ],\n");
@@ -484,7 +432,6 @@ mod tests {
     fn measure_reports_positive_throughput() {
         let p = measure_clique(64, 2);
         assert_eq!(p.n, 64);
-        assert_eq!(p.threads, 1);
         assert_eq!(p.trials, 2);
         assert!(p.rounds > 0);
         assert!(p.secs > 0.0);
@@ -492,47 +439,19 @@ mod tests {
     }
 
     #[test]
-    fn mt_measure_simulates_identical_rounds() {
-        // Deterministic-merge contract: the 4-thread run replays the
-        // exact same simulation, so total rounds must match.
-        let seq = measure_clique_mt(64, 2, 1);
-        let par = measure_clique_mt(64, 2, 4);
-        assert_eq!(seq.rounds, par.rounds);
-        assert_eq!(par.threads, 4);
-    }
-
-    #[test]
     fn json_shape_is_stable() {
         let points = [
             EnginePoint {
                 n: 256,
-                threads: 1,
                 trials: 3,
                 rounds: 30,
                 secs: 0.5,
             },
             EnginePoint {
                 n: 1024,
-                threads: 1,
                 trials: 3,
                 rounds: 36,
                 secs: 2.0,
-            },
-        ];
-        let scaling = [
-            EnginePoint {
-                n: 4096,
-                threads: 1,
-                trials: 3,
-                rounds: 40,
-                secs: 2.0,
-            },
-            EnginePoint {
-                n: 4096,
-                threads: 4,
-                trials: 3,
-                rounds: 40,
-                secs: 0.5,
             },
         ];
         let large = [LargePoint {
@@ -559,14 +478,12 @@ mod tests {
             frontier_secs: 0.5,
             rounds: 50_000,
         };
-        let j = to_json(&points, &scaling, &large, Some(&cmp));
+        let j = to_json(&points, &large, Some(&cmp));
         assert!(j.contains("\"bench\": \"engine/push_pull_clique\""));
         assert!(j.contains("\"n\": 256"));
         assert!(j.contains("\"rounds_per_sec\": 60.00"));
         assert!(j.contains("\"rounds_per_sec\": 18.00"));
-        assert!(j.contains("\"thread_scaling\""));
-        assert!(j.contains("\"speedup_vs_1thread\": 1.00"));
-        assert!(j.contains("\"speedup_vs_1thread\": 4.00"));
+        assert!(!j.contains("threads"));
         assert!(j.contains("\"large_n\""));
         assert!(j.contains("\"peak_frontier\": 96"));
         assert!(j.contains("\"peak_rss_kb\": 500000"));
@@ -578,7 +495,7 @@ mod tests {
 
     #[test]
     fn json_without_comparison_is_null() {
-        let j = to_json(&[], &[], &[], None);
+        let j = to_json(&[], &[], None);
         assert!(j.contains("\"mode_comparison\": null"));
     }
 

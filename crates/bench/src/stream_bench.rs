@@ -103,7 +103,6 @@ pub fn measure_stream(
     let spec = StreamSpec::spread(k, budget, g.node_count());
     let cfg = StreamConfig {
         max_rounds: MAX_ROUNDS,
-        threads: 1,
         mode: EngineMode::Frontier,
     };
     let start = Instant::now();
@@ -300,7 +299,6 @@ mod tests {
         let spec = StreamSpec::spread(4, 2, g.node_count());
         let cfg = StreamConfig {
             max_rounds: MAX_ROUNDS,
-            threads: 1,
             mode: EngineMode::Frontier,
         };
         let out = stream::rr_stream(&g, &spec, &cfg, 7);

@@ -22,13 +22,10 @@ USAGE
   gossip spanner <file|-> [--k K] [--seed S] [--n-hat N]
   gossip run <algorithm> <file|-> [--source V] [--seed S] [--all-to-all]
                                   [--ell L] [--diameter D] [--max-guess G]
-                                  [--latency-known] [--threads T]
+                                  [--latency-known]
   gossip run --workload stream <file|-> [--rumors K] [--budget B]
-             [--policy rr|rlc] [--seed S] [--threads T] [--max-rounds R]
-  gossip curve <file|-> [--source V] [--seed S] [--threads T]
-
-`--threads T` runs the engine on T worker threads; results are
-byte-identical to the default single-threaded run.
+             [--policy rr|rlc] [--seed S] [--max-rounds R]
+  gossip curve <file|-> [--source V] [--seed S]
   gossip game <m> <singleton | random:P> <adaptive | oblivious | systematic>
               [--seed S] [--trials T]
   gossip run-net <algorithm> <file|-> [--transport tcp|loopback|reactor]
@@ -390,7 +387,6 @@ fn run_stream(args: &mut Args) -> Result<String, CliError> {
 
     let path: String = args.require("graph file")?;
     let seed: u64 = args.flag_or("seed", 0)?;
-    let threads: usize = args.flag_or("threads", 0)?;
     let rumors: usize = args.flag_or("rumors", 8)?;
     let budget: usize = args.flag_or("budget", 1)?;
     let policy: String = args.flag_or("policy", "rr".to_owned())?;
@@ -412,7 +408,6 @@ fn run_stream(args: &mut Args) -> Result<String, CliError> {
     let spec = StreamSpec::spread(rumors, budget, g.node_count());
     let cfg = StreamConfig {
         max_rounds,
-        threads,
         mode: EngineMode::Frontier,
     };
     let o = match policy.as_str() {
@@ -459,7 +454,6 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
     let seed: u64 = args.flag_or("seed", 0)?;
     let source_idx: usize = args.flag_or("source", 0)?;
     let all_to_all = args.switch("all-to-all");
-    let threads: usize = args.flag_or("threads", 0)?;
     let g = load_graph(&path)?;
     if source_idx >= g.node_count() {
         return Err(CliError::BadArgument {
@@ -478,7 +472,6 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
             };
             let cfg = push_pull::PushPullConfig {
                 mode,
-                threads,
                 ..Default::default()
             };
             args.finish()?;
@@ -495,10 +488,7 @@ pub fn run_algorithm(args: &mut Args) -> Result<String, CliError> {
         }
         "flooding" => {
             args.finish()?;
-            let cfg = flooding::FloodingConfig {
-                threads,
-                ..Default::default()
-            };
+            let cfg = flooding::FloodingConfig::default();
             let o = if all_to_all {
                 flooding::all_to_all(&g, &cfg, seed)
             } else {
@@ -710,7 +700,6 @@ pub fn curve(args: &mut Args) -> Result<String, CliError> {
     let path: String = args.require("graph file")?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let source_idx: usize = args.flag_or("source", 0)?;
-    let threads: usize = args.flag_or("threads", 0)?;
     args.finish()?;
     let g = load_graph(&path)?;
     if source_idx >= g.node_count() {
@@ -726,7 +715,6 @@ pub fn curve(args: &mut Args) -> Result<String, CliError> {
     let cfg = SimConfig {
         seed,
         max_rounds: 2_000_000,
-        threads: threads.max(1),
         ..SimConfig::default()
     };
     let out = Simulator::new(&g, cfg).run(

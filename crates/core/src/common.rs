@@ -49,10 +49,10 @@ impl Goal {
 ///
 /// The merge must be idempotent, commutative, and monotone (merging can
 /// only add information); [`merge`](Mergeable::merge) reports whether
-/// anything changed. `Send + Sync` is required because mergeable state
-/// travels inside engine payloads, which cross worker threads when the
-/// simulator runs with `SimConfig::threads > 1`.
-pub trait Mergeable: Clone + Send + Sync {
+/// anything changed. No `Send`/`Sync` bound: mergeable state travels
+/// inside engine payloads, and the engine runs each simulation on one
+/// thread.
+pub trait Mergeable: Clone {
     /// Absorbs `other`; returns `true` if `self` changed.
     fn merge(&mut self, other: &Self) -> bool;
 

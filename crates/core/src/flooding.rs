@@ -16,10 +16,6 @@ use crate::common::{BroadcastOutcome, Goal};
 pub struct FloodingConfig {
     /// Round cap (0 means the simulator default).
     pub max_rounds: u64,
-    /// Engine worker threads (0 means the simulator default of 1).
-    /// Results are byte-identical for any value — see
-    /// [`SimConfig::threads`].
-    pub threads: usize,
 }
 
 /// Per-node flooding state.
@@ -73,9 +69,6 @@ fn sim_config(config: &FloodingConfig, seed: u64) -> SimConfig {
     };
     if config.max_rounds > 0 {
         c.max_rounds = config.max_rounds;
-    }
-    if config.threads > 0 {
-        c.threads = config.threads;
     }
     c
 }
@@ -195,10 +188,7 @@ mod tests {
     #[test]
     fn cap_respected() {
         let g = generators::path(50);
-        let cfg = FloodingConfig {
-            max_rounds: 5,
-            ..FloodingConfig::default()
-        };
+        let cfg = FloodingConfig { max_rounds: 5 };
         let o = broadcast(&g, NodeId::new(0), &cfg, 0);
         assert!(!o.completed());
         assert_eq!(o.rounds, 5);

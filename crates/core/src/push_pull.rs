@@ -40,10 +40,6 @@ pub struct PushPullConfig {
     pub mode: Mode,
     /// Round cap (0 means the simulator default).
     pub max_rounds: u64,
-    /// Engine worker threads (0 means the simulator default of 1).
-    /// Results are byte-identical for any value — see
-    /// [`SimConfig::threads`].
-    pub threads: usize,
 }
 
 /// The per-node protocol state. Exposed so it can be composed (e.g. by
@@ -111,9 +107,6 @@ fn sim_config(config: &PushPullConfig, seed: u64) -> SimConfig {
     };
     if config.max_rounds > 0 {
         c.max_rounds = config.max_rounds;
-    }
-    if config.threads > 0 {
-        c.threads = config.threads;
     }
     c
 }
@@ -259,7 +252,6 @@ mod tests {
             &PushPullConfig {
                 mode: Mode::PushOnly,
                 max_rounds: 100_000,
-                ..Default::default()
             },
             3,
         );
@@ -283,7 +275,6 @@ mod tests {
             &PushPullConfig {
                 mode: Mode::PullOnly,
                 max_rounds: 100_000,
-                ..Default::default()
             },
             7,
         );

@@ -35,9 +35,6 @@ use rand::Rng;
 pub struct SparseConfig {
     /// Round cap (0 means the simulator default).
     pub max_rounds: u64,
-    /// Engine worker threads (0 means the simulator default of 1).
-    /// Results are byte-identical for any value.
-    pub threads: usize,
     /// Engine mode: [`EngineMode::Frontier`] (default) or the
     /// [`EngineMode::Dense`] Θ(n·rounds) baseline — byte-identical
     /// outcomes, wildly different cost.
@@ -52,9 +49,6 @@ fn sim_config(config: &SparseConfig, seed: u64) -> SimConfig {
     };
     if config.max_rounds > 0 {
         c.max_rounds = config.max_rounds;
-    }
-    if config.threads > 0 {
-        c.threads = config.threads;
     }
     c
 }
@@ -117,6 +111,12 @@ impl SparseFloodNode {
 
     fn knows(&self) -> bool {
         self.rumors.contains(self.source)
+    }
+
+    /// How many neighbors this node has contacted so far: its position
+    /// in the round-robin over its sorted adjacency.
+    pub fn cursor(&self) -> usize {
+        self.cursor
     }
 }
 
@@ -404,37 +404,6 @@ mod tests {
         });
         assert!(o.completed());
         assert_eq!(o.informed_count(NodeId::new(3)), 32);
-    }
-
-    #[test]
-    fn threads_do_not_change_sparse_results() {
-        let g = generators::connected_erdos_renyi(60, 0.1, 9);
-        let mk = |threads: usize| {
-            flood_broadcast(
-                &g,
-                NodeId::new(0),
-                &SparseConfig {
-                    threads,
-                    ..SparseConfig::default()
-                },
-                42,
-            )
-        };
-        let one = mk(1);
-        let four = mk(4);
-        assert_eq!(one.rounds, four.rounds);
-        assert_eq!(one.metrics, four.metrics);
-        let a: Vec<u64> = one
-            .rumors
-            .iter()
-            .map(CompactRumorSet::fingerprint)
-            .collect();
-        let b: Vec<u64> = four
-            .rumors
-            .iter()
-            .map(CompactRumorSet::fingerprint)
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

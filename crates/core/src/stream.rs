@@ -43,9 +43,6 @@ use crate::gf2::Gf2Decoder;
 pub struct StreamConfig {
     /// Round cap (0 means the simulator default).
     pub max_rounds: u64,
-    /// Engine worker threads (0 means the simulator default of 1).
-    /// Results are byte-identical for any value.
-    pub threads: usize,
     /// Engine mode; Dense and Frontier produce byte-identical traces.
     pub mode: EngineMode,
 }
@@ -58,9 +55,6 @@ fn sim_config(config: &StreamConfig, seed: u64) -> SimConfig {
     };
     if config.max_rounds > 0 {
         c.max_rounds = config.max_rounds;
-    }
-    if config.threads > 0 {
-        c.threads = config.threads;
     }
     c
 }
@@ -474,8 +468,8 @@ mod tests {
         h
     }
 
-    /// Runs `run` under both engine modes and both pinned thread
-    /// counts, asserting byte-identical outcomes, and returns one.
+    /// Runs `run` under both engine modes, asserting byte-identical
+    /// outcomes, and returns one.
     fn all_ways(run: impl Fn(&StreamConfig) -> StreamOutcome) -> StreamOutcome {
         let base = StreamConfig {
             max_rounds: 100_000,
@@ -483,21 +477,11 @@ mod tests {
         };
         let reference = run(&base);
         for mode in [EngineMode::Dense, EngineMode::Frontier] {
-            for threads in [1, 4] {
-                let o = run(&StreamConfig {
-                    threads,
-                    mode,
-                    ..base
-                });
-                assert_eq!(o.rounds, reference.rounds, "{mode:?}/{threads}");
-                assert_eq!(o.metrics, reference.metrics, "{mode:?}/{threads}");
-                assert_eq!(o.completions, reference.completions, "{mode:?}/{threads}");
-                assert_eq!(
-                    fingerprint(&o),
-                    fingerprint(&reference),
-                    "{mode:?}/{threads}"
-                );
-            }
+            let o = run(&StreamConfig { mode, ..base });
+            assert_eq!(o.rounds, reference.rounds, "{mode:?}");
+            assert_eq!(o.metrics, reference.metrics, "{mode:?}");
+            assert_eq!(o.completions, reference.completions, "{mode:?}");
+            assert_eq!(fingerprint(&o), fingerprint(&reference), "{mode:?}");
         }
         reference
     }

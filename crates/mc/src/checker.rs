@@ -452,10 +452,12 @@ fn fault_actions<N: Protocol>(
 }
 
 /// Canonical bytes of a pre-delivery state: round, faults used,
-/// crashed/dropped bitmaps, per-node state, and the in-flight queue in
-/// the engine's chronological order. RNG state is deliberately
-/// excluded — every nondeterministic branch is resolved by the tape,
-/// so the RNG never influences a checked run.
+/// crashed/dropped bitmaps, per-node state, the in-flight queue in the
+/// engine's chronological order, and the registered wakeups in the
+/// order the engine will consume them (`EveryRound` protocols never
+/// register one, so for them that suffix is a constant zero count).
+/// RNG state is deliberately excluded — every nondeterministic branch
+/// is resolved by the tape, so the RNG never influences a checked run.
 fn encode_state<M: Model>(model: &M, st: &Stepper<'_, M::Node>, used: u32) -> Vec<u8> {
     let g = model.graph();
     let round = st.round();
@@ -479,6 +481,15 @@ fn encode_state<M: Model>(model: &M, st: &Stepper<'_, M::Node>, used: u32) -> Ve
         model.encode_payload(x.payload_a, &mut out);
         model.encode_payload(x.payload_b, &mut out);
     }
+    // Wakeups go last, followed by their count, so the encoding parses
+    // back from its end whatever the payload encodings' lengths.
+    let wakeups = st.wakeups();
+    for &(at, v) in &wakeups {
+        out.extend_from_slice(&at.to_le_bytes());
+        push_node_id(&mut out, v);
+    }
+    let count = u32::try_from(wakeups.len()).expect("wakeup count fits u32");
+    out.extend_from_slice(&count.to_le_bytes());
     out
 }
 

@@ -33,8 +33,9 @@
 //!   liveness-via-`Termination`).
 //! * [`models`] — the checked models: nondeterministic push-pull
 //!   broadcast, deterministic round-robin flooding, the Lemma 18
-//!   distributed termination check, the spanner orientation, and the
-//!   multi-rumor round-robin stream.
+//!   distributed termination check, the spanner orientation, the
+//!   multi-rumor round-robin stream, and on-demand sparse flooding
+//!   (the `OnDemand`-scheduled model).
 //! * [`mutants`] — deliberately broken protocol variants the checker
 //!   must reject (the mutation suite proving the harness has teeth).
 //! * [`report`] — per-instance run reports and the `mc-report.json`

@@ -1,7 +1,7 @@
 //! The checked models: shipped protocol nodes wrapped into the
 //! [`Model`] interface.
 //!
-//! Five model families cover the crate's property matrix:
+//! Six model families cover the crate's property matrix:
 //!
 //! * [`nd_broadcast`] — push-pull broadcast with **adversarial** peer
 //!   selection: every [`Context::choose`] branch is explored. Safety
@@ -24,25 +24,33 @@
 //!   a causal-knowledge [`StreamWitness`] and checked against
 //!   `no-phantom-rumor`. Safety only, like `nd-broadcast`: the choice
 //!   adversary can starve rumor completion.
+//! * [`sparse_flood`] — the shipped on-demand flood
+//!   ([`SparseFloodNode`], [`Scheduling::OnDemand`]): stepped only on
+//!   deliveries and registered wakeups, exactly as `Simulator::run`
+//!   steps it, with the wakeups part of every encoded state.
+//!   Deterministic, so it carries `termination` like `rr-flood`.
 //!
-//! Both model structs use **plain `fn` pointers** as node factories so
-//! that [`BroadcastModel::with_node`] / [`CheckModel::with_node`] can
-//! swap in a mutant node type (see [`crate::mutants`]) while keeping
-//! the graph, bound, and property set identical — the mutation suite
-//! checks the *protocol*, never a differently-configured harness.
+//! The broadcast and check model structs use **plain `fn` pointers**
+//! as node factories so that [`BroadcastModel::with_node`] /
+//! [`CheckModel::with_node`] can swap in a mutant node type (see
+//! [`crate::mutants`]) while keeping the graph, bound, and property
+//! set identical — the mutation suite checks the *protocol*, never a
+//! differently-configured harness.
 //!
 //! [`Context::choose`]: gossip_sim::Context::choose
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use gossip_core::flooding::FloodingNode;
 use gossip_core::push_pull::{Mode, PushPullNode};
+use gossip_core::sparse::SparseFloodNode;
 use gossip_core::stream::RrStreamNode;
 use gossip_core::termination::{CheckNode, CheckPayload};
 use gossip_core::{eid, rr_broadcast};
 use gossip_sim::{
-    Context, Exchange, Protocol, Round, RumorSet, Scheduling, SharedRumorSet, StreamPayload,
-    StreamSpec,
+    CompactRumorSet, Context, Exchange, Protocol, Round, RumorSet, Scheduling, SharedRumorSet,
+    SimConfig, Simulator, StopReason, StreamPayload, StreamSpec,
 };
 use latency_graph::{metrics, DiGraph, Graph, NodeId};
 
@@ -50,21 +58,29 @@ use crate::checker::{Model, Property};
 use crate::props;
 use crate::PropSelect;
 
-/// Read access to a node's rumor state, for rumor-carrying protocols.
+/// Read access to a node's rumor state, for rumor-carrying protocols
+/// (borrowed where the node keeps a plain bitset, expanded where it
+/// keeps a compact one).
 pub trait RumorHolder {
     /// The node's current rumor set.
-    fn rumors(&self) -> &RumorSet;
+    fn rumors(&self) -> Cow<'_, RumorSet>;
 }
 
 impl RumorHolder for PushPullNode {
-    fn rumors(&self) -> &RumorSet {
-        &self.rumors
+    fn rumors(&self) -> Cow<'_, RumorSet> {
+        Cow::Borrowed(&self.rumors)
     }
 }
 
 impl RumorHolder for FloodingNode {
-    fn rumors(&self) -> &RumorSet {
-        &self.rumors
+    fn rumors(&self) -> Cow<'_, RumorSet> {
+        Cow::Borrowed(&self.rumors)
+    }
+}
+
+impl RumorHolder for SparseFloodNode {
+    fn rumors(&self) -> Cow<'_, RumorSet> {
+        Cow::Owned(self.rumors.to_set())
     }
 }
 
@@ -72,7 +88,7 @@ impl RumorHolder for FloodingNode {
 /// exchange-application counter.
 pub trait RumorNode {
     /// The node's current rumor set.
-    fn rumor_set(&self) -> &RumorSet;
+    fn rumor_set(&self) -> Cow<'_, RumorSet>;
     /// How many times `on_exchange` has applied a payload to this node.
     fn applied(&self) -> u64;
 }
@@ -142,7 +158,7 @@ impl<P: Protocol> Protocol for Counted<P> {
 }
 
 impl<P: RumorHolder> RumorNode for Counted<P> {
-    fn rumor_set(&self) -> &RumorSet {
+    fn rumor_set(&self) -> Cow<'_, RumorSet> {
         self.inner.rumors()
     }
 
@@ -839,6 +855,113 @@ pub fn rr_stream_model(g: &Graph, select: PropSelect) -> StreamModel<StreamWitne
         spec,
         factory: |id, spec| StreamWitness::new(RrStreamNode::new(id, spec), id, spec),
         bound,
+        select,
+    }
+}
+
+// ---------------------------------------------------------------------
+// On-demand flooding model
+// ---------------------------------------------------------------------
+
+/// One-to-all on-demand flooding from node 0 over the instance graph:
+/// the shipped [`SparseFloodNode`] under its own
+/// [`Scheduling::OnDemand`] semantics. No choice branches, so the
+/// nondeterminism is purely the fault schedule, and `termination` is
+/// sound: the bound is the fault-free run's round count.
+pub struct SparseFloodModel {
+    graph: Graph,
+    source: NodeId,
+    bound: Round,
+    select: PropSelect,
+}
+
+impl Model for SparseFloodModel {
+    type Node = Counted<SparseFloodNode>;
+
+    fn name(&self) -> String {
+        "sparse-flood".to_string()
+    }
+
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn make_node(&self, id: NodeId, n: usize) -> Self::Node {
+        Counted::new(SparseFloodNode::new(id, n, self.source))
+    }
+
+    fn encode_node(&self, node: &Self::Node, out: &mut Vec<u8>) {
+        // Rumors plus the round-robin cursor: unlike the dense flood's,
+        // it advances only while the node is stepped, so it does not
+        // track the round. Pending wakeups are encoded by the checker.
+        self.encode_payload(&node.inner.rumors, out);
+        let cursor = u32::try_from(node.inner.cursor()).expect("degree fits u32");
+        out.extend_from_slice(&cursor.to_le_bytes());
+    }
+
+    fn encode_payload(&self, payload: &CompactRumorSet, out: &mut Vec<u8>) {
+        for w in payload.to_set().as_words() {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    fn goal_met(&self, nodes: &[Self::Node]) -> bool {
+        nodes.iter().all(|x| x.inner.rumors.contains(self.source))
+    }
+
+    fn round_bound(&self) -> Round {
+        self.bound
+    }
+
+    fn properties(&self) -> Vec<Property<Self::Node>> {
+        let mut props = Vec::new();
+        if self.select.wants("latency-respected") {
+            props.push(props::latency_respected(&self.graph));
+        }
+        if self.select.wants("at-most-once-delivery") {
+            props.push(props::at_most_once_delivery());
+        }
+        if self.select.wants("termination") {
+            props.push(props::termination());
+        }
+        props
+    }
+
+    fn node_fingerprint(&self, node: &Self::Node) -> u64 {
+        node.inner.rumors.fingerprint()
+    }
+}
+
+/// The on-demand flood model; its bound is the round in which the
+/// fault-free run informs every node (it stops by
+/// [`StopReason::AllDone`] then).
+///
+/// # Panics
+///
+/// Panics if the fault-free flood does not inform every node, i.e. the
+/// graph is disconnected.
+pub fn sparse_flood(g: &Graph, select: PropSelect) -> SparseFloodModel {
+    let source = NodeId::new(0);
+    let sim = Simulator::new(
+        g,
+        SimConfig {
+            max_rounds: 64 * metrics::weighted_diameter(g).max(1),
+            ..SimConfig::default()
+        },
+    );
+    let out = sim.run(
+        |id, n| SparseFloodNode::new(id, n, source),
+        |_: &[SparseFloodNode], _| false,
+    );
+    assert_eq!(
+        out.reason,
+        StopReason::AllDone,
+        "the reference on-demand flood must inform every node"
+    );
+    SparseFloodModel {
+        graph: g.clone(),
+        source,
+        bound: out.rounds,
         select,
     }
 }

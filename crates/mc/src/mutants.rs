@@ -20,6 +20,8 @@
 //! | `double-apply`    | applies every exchange twice | `at-most-once-delivery` |
 //! | `phantom-rumor`   | holds a rumor injected elsewhere it never received | `no-phantom-rumor` |
 
+use std::borrow::Cow;
+
 use gossip_core::flooding::FloodingNode;
 use gossip_core::termination::CheckPayload;
 use gossip_sim::{
@@ -265,8 +267,8 @@ impl Protocol for StallNode {
 }
 
 impl RumorNode for StallNode {
-    fn rumor_set(&self) -> &RumorSet {
-        &self.rumors
+    fn rumor_set(&self) -> Cow<'_, RumorSet> {
+        Cow::Borrowed(&self.rumors)
     }
 
     fn applied(&self) -> u64 {
@@ -316,8 +318,8 @@ impl Protocol for DoubleApplyNode {
 }
 
 impl RumorNode for DoubleApplyNode {
-    fn rumor_set(&self) -> &RumorSet {
-        &self.inner.rumors
+    fn rumor_set(&self) -> Cow<'_, RumorSet> {
+        Cow::Borrowed(&self.inner.rumors)
     }
 
     fn applied(&self) -> u64 {

@@ -15,8 +15,8 @@ use crate::{Instance, PropSelect};
 /// One checked model (or aggregated model family) on one instance.
 #[derive(Clone, Debug)]
 pub struct ModelReport {
-    /// Model display name (`nd-broadcast`, `rr-flood`, `lemma18`,
-    /// `spanner`, `rr-stream`).
+    /// Model display name (`nd-broadcast`, `rr-flood`,
+    /// `sparse-flood`, `lemma18`, `spanner`, `rr-stream`).
     pub model: String,
     /// Distinct states explored (summed across aggregated configs).
     pub explored: u64,
@@ -134,6 +134,14 @@ pub fn run_instance_models(
     {
         let m = models::rr_flood(g, select.clone());
         reports.push(model_report("rr-flood", vec![check(&m, &cfg)]));
+    }
+    if wanted("sparse-flood")
+        && (select.wants("latency-respected")
+            || select.wants("at-most-once-delivery")
+            || select.wants("termination"))
+    {
+        let m = models::sparse_flood(g, select.clone());
+        reports.push(model_report("sparse-flood", vec![check(&m, &cfg)]));
     }
     if wanted("lemma18")
         && (select.wants("lemma18-no-early-stop") || select.wants("same-round-termination"))

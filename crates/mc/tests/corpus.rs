@@ -98,6 +98,27 @@ const PINNED: &[Entry] = &[
     ("clique3", 0, "rr-stream", 349, 1007, 255),
     ("star4", 0, "rr-stream", 25, 45, 15),
     ("cycle4", 0, "rr-stream", 8113, 51913, 5193),
+    // sparse-flood is the OnDemand model: the checker steps it exactly
+    // as the shipped engine does (deliveries and registered wakeups
+    // only, dead gaps skipped) and encodes the pending wakeups.
+    ("cycle3", 0, "sparse-flood", 3, 3, 1),
+    ("cycle3", 1, "sparse-flood", 15, 33, 14),
+    ("cycle3", 2, "sparse-flood", 30, 108, 64),
+    ("cycle4", 0, "sparse-flood", 4, 4, 1),
+    ("cycle4", 1, "sparse-flood", 30, 62, 21),
+    ("cycle4", 2, "sparse-flood", 96, 310, 150),
+    ("star4", 0, "sparse-flood", 4, 4, 1),
+    ("star4", 1, "sparse-flood", 27, 55, 19),
+    ("star4", 2, "sparse-flood", 77, 243, 120),
+    ("clique3", 0, "sparse-flood", 3, 3, 1),
+    ("clique3", 1, "sparse-flood", 15, 33, 14),
+    ("clique3", 2, "sparse-flood", 30, 108, 64),
+    ("clique4", 0, "sparse-flood", 4, 4, 1),
+    ("clique4", 1, "sparse-flood", 36, 76, 25),
+    ("clique4", 2, "sparse-flood", 140, 468, 219),
+    ("ring-of-cliques4", 0, "sparse-flood", 5, 5, 1),
+    ("ring-of-cliques4", 1, "sparse-flood", 40, 80, 22),
+    ("ring-of-cliques4", 2, "sparse-flood", 141, 426, 168),
 ];
 
 /// The ND push-pull and dense-instance rr-stream rows too big for the

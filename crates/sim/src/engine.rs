@@ -8,7 +8,6 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 use crate::faults::FaultPlan;
-use crate::pool::{self, Pool};
 use crate::Round;
 
 /// How the engine schedules a protocol's [`on_round`](Protocol::on_round)
@@ -39,6 +38,10 @@ pub enum Scheduling {
     ///   are evaluated only on **event rounds** (rounds with a
     ///   delivery, a due wakeup, or round 0) — in both engine modes, so
     ///   dense and frontier runs remain byte-identical.
+    ///
+    /// [`Stepper`] implements this contract, so `Simulator::run` and
+    /// the model checker (which drives `Stepper` directly) execute an
+    /// `OnDemand` protocol under the same semantics.
     OnDemand,
 }
 
@@ -147,10 +150,10 @@ pub struct Context<'a> {
     /// captured by [`Context::initiate`]'s validation search so the
     /// engine can launch the exchange without re-resolving the edge.
     pending: &'a mut Option<(NodeId, u32)>,
-    /// The wakeup request slot ([`Context::wake_at`]); drained by the
-    /// on-demand engine at the end of the round. Last write wins
-    /// within a round. Ignored by [`Scheduling::EveryRound`] engines
-    /// (every node is stepped anyway).
+    /// The wakeup request slot ([`Context::wake_at`]); drained by
+    /// [`Stepper`] at the end of the round. Last write wins within a
+    /// round. Ignored for [`Scheduling::EveryRound`] protocols (every
+    /// node is stepped anyway).
     wake: &'a mut Option<Round>,
     /// Choice tape installed by a model checker ([`Stepper`]'s
     /// `set_choice_tape`): when present, [`Context::choose`] reads
@@ -283,13 +286,6 @@ impl<'a> Context<'a> {
     pub fn initiate_nth(&mut self, i: usize) {
         let v = self.neighbor_ids[i];
         *self.pending = Some((v, u32::try_from(i).expect("degree fits u32")));
-    }
-
-    /// The neighbor this node has chosen to initiate with this round,
-    /// if any (set by [`initiate`](Self::initiate)). Used by wrappers
-    /// like [`Traced`](crate::trace::Traced) to observe initiations.
-    pub fn pending_target(&self) -> Option<NodeId> {
-        self.pending.map(|(v, _)| v)
     }
 
     /// Registers a wakeup: under [`Scheduling::OnDemand`] this node
@@ -430,7 +426,10 @@ impl ChoiceTape {
     }
 }
 
-/// Configuration for a [`Simulator`] run.
+/// Configuration for a [`Simulator`] run: the communication model
+/// plus the round cap, seed and [`EngineMode`]. A run executes on the
+/// calling thread; callers parallelize across independent runs (seeds,
+/// trials).
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// Hard cap on rounds; exceeding it stops with
@@ -458,13 +457,6 @@ pub struct SimConfig {
     /// the round): counted in [`SimMetrics::rejected`] and reported via
     /// [`Protocol::on_rejected`].
     pub blocking: bool,
-    /// Worker threads for the round loop. `1` (the default, and any
-    /// value `≤ 1`) runs the exact sequential code path; larger values
-    /// shard the per-node phases over a persistent [`pool`] of scoped
-    /// threads. The deterministic-merge contract guarantees results
-    /// are byte-identical for any thread count — same rounds, same
-    /// [`SimMetrics`], same per-node states and RNG streams.
-    pub threads: usize,
     /// Execution mode for [`Scheduling::OnDemand`] protocols:
     /// [`EngineMode::Frontier`] (the default) steps only the active
     /// frontier and skips dead round gaps; [`EngineMode::Dense`] keeps
@@ -495,7 +487,6 @@ impl Default for SimConfig {
             seed: 0,
             connection_cap: None,
             blocking: false,
-            threads: 1,
             mode: EngineMode::Frontier,
         }
     }
@@ -533,8 +524,8 @@ pub struct SimMetrics {
 /// [`SimMetrics`] these describe *how* the engine executed, not what
 /// the protocol did, and are **not** part of the determinism contract
 /// across [`EngineMode`]s (`skipped_rounds` is zero in dense mode by
-/// construction). Populated by the on-demand engine; every-round runs
-/// report zeros.
+/// construction). Populated for [`Scheduling::OnDemand`] protocols;
+/// [`Scheduling::EveryRound`] runs report zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// `on_round` callbacks executed.
@@ -585,50 +576,39 @@ struct InFlight<P> {
     initiated_at: Round,
 }
 
-/// Ring slots beyond this are not allocated; rarer, larger latencies
+/// Ring slots beyond this are not allocated; rarer, longer delays
 /// spill into the overflow map. Bounds scheduler memory at ~96 KiB of
 /// slot headers even for graphs with enormous `ℓ_max`.
 const MAX_RING_SLOTS: u64 = 4096;
 
-/// Per-phase work below this many items runs inline on the
-/// coordinator instead of being sharded to the pool: carving and
-/// re-absorbing shards moves the whole node/RNG state and costs two
-/// channel round-trips per worker, a net loss for small batches (the
-/// BENCH_engine thread_scaling rows showed `threads>1` regressing the
-/// sequential path on small rounds). The workers stay blocked on their
-/// channels (idle-cheap) for the round. Inline and sharded execution
-/// make the identical callback sequence, so the choice is invisible to
-/// the determinism contract.
-const INLINE_WORK_MAX: usize = 256;
-
-/// Calendar-queue scheduler for in-flight exchanges.
+/// Calendar-queue scheduler for items due at a future round: in-flight
+/// exchanges (due at `t + ℓ`) and registered wakeups (due at the round
+/// [`Context::wake_at`] asked for).
 ///
-/// A ring of `min(ℓ_max + 1, MAX_RING_SLOTS)` reusable buckets indexed
-/// by `complete_at % slots`. Every edge latency satisfies
-/// `1 ≤ ℓ ≤ ℓ_max`, so an exchange scheduled into a slot always
-/// completes before the ring wraps back to it — each slot holds
-/// exchanges for exactly one completion round at a time. Slots keep
-/// their `Vec` capacity across rounds, so after warm-up the scheduler
-/// allocates nothing, unlike the `BTreeMap<Round, Vec<_>>` it replaced
-/// (which churned a node allocation plus a fresh batch `Vec` per
-/// round). Latencies `≥ MAX_RING_SLOTS` (rare; pathological
-/// constructions only) fall back to a `BTreeMap` overflow.
+/// A ring of `min(d_max + 1, MAX_RING_SLOTS)` reusable buckets indexed
+/// by `due % slots`, where `d_max` is the longest delay the ring is
+/// sized for (`ℓ_max` for exchanges). A ring entry scheduled at `now`
+/// is due strictly within `(now, now + slots)`, so it is collected
+/// before the ring wraps back to its slot — each slot holds items for
+/// exactly one due round at a time. Slots keep their `Vec` capacity
+/// across rounds, so after warm-up the scheduler allocates nothing.
+/// Delays `≥ slots` (pathological latencies, long wakeups) fall back
+/// to a `BTreeMap` overflow.
 #[derive(Clone)]
-struct CalendarQueue<P> {
-    ring: Vec<Vec<InFlight<P>>>,
-    overflow: BTreeMap<Round, Vec<InFlight<P>>>,
+struct CalendarQueue<T> {
+    ring: Vec<Vec<T>>,
+    overflow: BTreeMap<Round, Vec<T>>,
     /// Emptied overflow batches, kept for reuse: `schedule` pulls a
     /// recycled buffer instead of allocating a fresh `Vec` per
     /// overflow round, and `collect_due` pushes the drained batch
-    /// back. Stays empty unless the graph has latencies beyond the
-    /// ring.
-    spare: Vec<Vec<InFlight<P>>>,
-    /// Exchanges currently queued (ring + overflow); lets the frontier
-    /// engine answer "is anything in flight?" in O(1).
+    /// back.
+    spare: Vec<Vec<T>>,
+    /// Items currently queued (ring + overflow); answers "is anything
+    /// pending?" in O(1).
     len: usize,
 }
 
-/// Maps a completion round onto its calendar-ring slot.
+/// Maps a due round onto its calendar-ring slot.
 ///
 /// `slots ≤ MAX_RING_SLOTS`, so the modulo result always fits `usize`;
 /// the checked conversion keeps the (impossible) truncation loud
@@ -646,23 +626,23 @@ fn latency_to_index(i: u32) -> usize {
     usize::try_from(i).expect("adjacency index fits usize")
 }
 
-/// Widens a frontier node id (stored as `u32` — the on-demand engine
-/// asserts `n` fits at startup) back to a `usize` index.
+/// Widens a frontier node id (stored as `u32` — [`Stepper`] asserts
+/// `n` fits at startup) back to a `usize` index.
 #[inline]
 fn frontier_index(i: u32) -> usize {
     usize::try_from(i).expect("node index fits usize")
 }
 
 /// Narrows a node index into the frontier's `u32` id space; infallible
-/// after the on-demand engine's startup assertion.
+/// after [`Stepper`]'s startup assertion.
 #[inline]
 fn frontier_id(i: usize) -> u32 {
     u32::try_from(i).expect("node index fits u32")
 }
 
-impl<P> CalendarQueue<P> {
-    fn new(max_latency_rounds: u64) -> CalendarQueue<P> {
-        let slots = (max_latency_rounds + 1).min(MAX_RING_SLOTS);
+impl<T> CalendarQueue<T> {
+    fn new(max_delay: u64) -> CalendarQueue<T> {
+        let slots = max_delay.saturating_add(1).min(MAX_RING_SLOTS);
         CalendarQueue {
             ring: (0..slots).map(|_| Vec::new()).collect(),
             overflow: BTreeMap::new(),
@@ -676,31 +656,30 @@ impl<P> CalendarQueue<P> {
         u64::try_from(self.ring.len()).expect("ring length fits u64")
     }
 
-    /// Enqueues `x` to complete `latency_rounds` after `now`.
+    /// Enqueues `x` to fall due `delay ≥ 1` rounds after `now`.
     #[inline]
-    fn schedule(&mut self, now: Round, latency_rounds: u64, x: InFlight<P>) {
+    fn schedule(&mut self, now: Round, delay: u64, x: T) {
+        debug_assert!(delay > 0);
         self.len += 1;
-        if latency_rounds < self.slots() {
-            let slot = round_to_slot(now + latency_rounds, self.slots());
+        if delay < self.slots() {
+            let slot = round_to_slot(now + delay, self.slots());
             self.ring[slot].push(x);
         } else {
             self.overflow
-                .entry(now + latency_rounds)
+                .entry(now + delay)
                 .or_insert_with(|| self.spare.pop().unwrap_or_default())
                 .push(x);
         }
     }
 
-    /// Moves every exchange completing at `round` into `due`
-    /// (initiation order), leaving the slot's capacity in place for
-    /// reuse. `due` must be empty on entry.
-    fn collect_due(&mut self, round: Round, due: &mut Vec<InFlight<P>>) {
-        debug_assert!(due.is_empty());
-        // Overflow entries carry latency ≥ the ring length while ring
+    /// Appends every item due at `round` onto `due` (scheduling
+    /// order), leaving the slot's capacity in place for reuse.
+    fn collect_due(&mut self, round: Round, due: &mut Vec<T>) {
+        let before = due.len();
+        // Overflow entries carry a delay ≥ the ring length while ring
         // entries carry less, so everything in the overflow batch was
-        // initiated strictly earlier than anything in the slot —
-        // draining overflow first preserves the old scheduler's
-        // chronological delivery order exactly.
+        // scheduled strictly earlier than anything in the slot —
+        // draining overflow first keeps the batch chronological.
         if let Some(mut batch) = self.overflow.remove(&round) {
             due.append(&mut batch);
             // `append` leaves `batch` empty with its capacity intact;
@@ -709,25 +688,24 @@ impl<P> CalendarQueue<P> {
         }
         let slot = round_to_slot(round, self.slots());
         due.append(&mut self.ring[slot]);
-        self.len -= due.len();
+        self.len -= due.len() - before;
     }
 
-    /// Whether no exchange is in flight.
+    /// Whether nothing is queued.
     #[inline]
     fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The earliest round strictly after `round` with a scheduled
-    /// completion, or `None` if nothing is in flight. O(slots) worst
-    /// case, O(gap) typical; only consulted by the frontier engine on
-    /// otherwise-idle rounds.
+    /// The earliest round strictly after `round` with a queued item, or
+    /// `None` if nothing is queued. O(slots) worst case, O(gap)
+    /// typical; only consulted when the frontier engine skips ahead.
     ///
     /// Correctness rests on the slot invariant (each occupied slot
-    /// holds exchanges for exactly one completion round, strictly
-    /// within `(round, round + slots)` once round `round` itself has
-    /// been drained), so a non-empty slot at ring distance `d` means a
-    /// completion at exactly `round + d`.
+    /// holds items for exactly one due round, strictly within
+    /// `(round, round + slots)` once round `round` itself has been
+    /// drained), so a non-empty slot at ring distance `d` means an item
+    /// due at exactly `round + d`.
     fn next_occupied_after(&self, round: Round) -> Option<Round> {
         if self.is_empty() {
             return None;
@@ -741,80 +719,30 @@ impl<P> CalendarQueue<P> {
             (a, b) => a.or(b),
         }
     }
-}
 
-/// Calendar queue of registered wakeups for the on-demand engine: the
-/// same ring-plus-overflow shape as [`CalendarQueue`], holding node ids
-/// instead of in-flight exchanges. Unlike exchange latencies, wakeup
-/// delays are unbounded, so the ring is a fixed [`MAX_RING_SLOTS`] and
-/// anything `≥ MAX_RING_SLOTS` rounds out spills into the overflow map.
-/// The slot invariant still holds: every ring entry's target round lies
-/// strictly within `(scheduled_at, scheduled_at + slots)`, so at any
-/// time an occupied slot maps to exactly one future round.
-struct WakeQueue {
-    ring: Vec<Vec<u32>>,
-    overflow: BTreeMap<Round, Vec<u32>>,
-    spare: Vec<Vec<u32>>,
-    len: usize,
-}
-
-impl WakeQueue {
-    fn new() -> WakeQueue {
-        WakeQueue {
-            ring: (0..MAX_RING_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: BTreeMap::new(),
-            spare: Vec::new(),
-            len: 0,
+    /// Every queued item with its due round, in the order
+    /// [`collect_due`](Self::collect_due) will hand them out (due round
+    /// ascending; within a round, overflow batch before ring slot).
+    /// Due rounds are reconstructed from ring positions via the slot
+    /// invariant: with nothing due before `now`, each occupied slot
+    /// holds exactly one due round, within `[now, now + slots)`.
+    fn in_order(&self, now: Round) -> Vec<(Round, &T)> {
+        let slots = self.slots();
+        let mut entries: Vec<(Round, u8, &T)> = Vec::new();
+        for (&at, batch) in &self.overflow {
+            entries.extend(batch.iter().map(|x| (at, 0, x)));
         }
-    }
-
-    /// Registers node `id` to wake at `at` (strictly after `now`,
-    /// enforced upstream by [`Context::wake_at`]).
-    #[inline]
-    fn schedule(&mut self, now: Round, at: Round, id: u32) {
-        debug_assert!(at > now);
-        self.len += 1;
-        if at - now < MAX_RING_SLOTS {
-            self.ring[round_to_slot(at, MAX_RING_SLOTS)].push(id);
-        } else {
-            self.overflow
-                .entry(at)
-                .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push(id);
+        for (s, slot) in self.ring.iter().enumerate() {
+            if slot.is_empty() {
+                continue;
+            }
+            let s = u64::try_from(s).expect("ring slot index fits u64");
+            let at = now + (s + slots - now % slots) % slots;
+            entries.extend(slot.iter().map(|x| (at, 1, x)));
         }
-    }
-
-    /// Appends every node due to wake at `round` onto `due`.
-    fn collect_due(&mut self, round: Round, due: &mut Vec<u32>) {
-        let before = due.len();
-        if let Some(mut batch) = self.overflow.remove(&round) {
-            due.append(&mut batch);
-            self.spare.push(batch);
-        }
-        due.append(&mut self.ring[round_to_slot(round, MAX_RING_SLOTS)]);
-        self.len -= due.len() - before;
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The earliest round strictly after `round` with a registered
-    /// wakeup, or `None` if there are none. Mirrors
-    /// [`CalendarQueue::next_occupied_after`].
-    fn next_occupied_after(&self, round: Round) -> Option<Round> {
-        if self.is_empty() {
-            return None;
-        }
-        let ring = (1..MAX_RING_SLOTS)
-            .find(|&d| !self.ring[round_to_slot(round + d, MAX_RING_SLOTS)].is_empty())
-            .map(|d| round + d);
-        let over = self.overflow.range(round + 1..).next().map(|(&r, _)| r);
-        match (ring, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        // Stable sort: scheduling order within a slot is preserved.
+        entries.sort_by_key(|&(at, tier, _)| (at, tier));
+        entries.into_iter().map(|(at, _, x)| (at, x)).collect()
     }
 }
 
@@ -846,88 +774,21 @@ impl<'g> Simulator<'g> {
         self
     }
 
-    /// Builds the per-node callback view for node `i` at `round`.
-    #[allow(clippy::too_many_arguments)] // mirrors the engine's per-node state split
-    fn ctx<'a>(
-        &'a self,
-        i: usize,
-        round: Round,
-        size_hint: usize,
-        rng: &'a mut StdRng,
-        pending: &'a mut Option<(NodeId, u32)>,
-        wake: &'a mut Option<Round>,
-    ) -> Context<'a> {
-        let v = NodeId::new(i);
-        Context {
-            node: v,
-            round,
-            n: self.graph.node_count(),
-            size_hint,
-            neighbor_ids: self.graph.neighbor_ids(v),
-            latencies: self
-                .config
-                .latency_known
-                .then(|| self.graph.neighbor_latencies(v)),
-            rng,
-            pending,
-            wake,
-            tape: None,
-        }
-    }
-
     /// Runs the simulation.
     ///
     /// `factory(id, n)` builds each node's protocol instance; `stop`
-    /// is evaluated at the start of every round (after deliveries) over
-    /// all node states and ends the run when it returns `true`.
+    /// is evaluated after each round's deliveries over all node states
+    /// and ends the run when it returns `true`. For
+    /// [`Scheduling::OnDemand`] protocols it (and the
+    /// [`StopReason::AllDone`] check) runs on event rounds only.
     ///
-    /// With [`SimConfig::threads`] `> 1` the per-node phases of the
-    /// round loop run on a persistent worker [`pool`]; the
-    /// deterministic-merge contract (contiguous node shards, results
-    /// written back in node-id order) makes the outcome byte-identical
-    /// to the sequential path for any thread count. The factory and
-    /// stop closures always run on the calling thread.
-    pub fn run<P, F, S>(&self, factory: F, stop: S) -> Outcome<P>
-    where
-        P: Protocol + Send,
-        P::Payload: Send,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-    {
-        let n = self.graph.node_count();
-        let threads = self.config.threads.max(1).min(n.max(1));
-        let on_demand = P::SCHEDULING == Scheduling::OnDemand;
-        if threads == 1 {
-            return if on_demand {
-                self.run_on_demand(
-                    None::<&mut Pool<'_, Job<P>, Done<P>, fn(Job<P>) -> Done<P>>>,
-                    factory,
-                    stop,
-                )
-            } else {
-                self.run_sequential(factory, stop)
-            };
-        }
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        pool::scoped(
-            threads - 1,
-            |job: Job<P>| self.work(size_hint, job),
-            |pool| {
-                if on_demand {
-                    self.run_on_demand(Some(pool), factory, stop)
-                } else {
-                    self.run_parallel(pool, factory, stop)
-                }
-            },
-        )
-    }
-
-    /// The single-threaded round loop — the reference semantics every
-    /// other execution mode must reproduce exactly. Implemented as a
-    /// thin driver over [`Stepper`], the same stepping machinery the
-    /// model checker snapshots and branches: checked code is shipped
-    /// code.
-    fn run_sequential<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
+    /// This is a thin driver over [`Stepper`], the engine's one round
+    /// loop, for both [`Scheduling`]s and both [`EngineMode`]s — the
+    /// same machinery the model checker snapshots and branches, so
+    /// checked code is shipped code. The run stays on the calling
+    /// thread; parallelism belongs across independent runs (seeds,
+    /// trials, bench cells), not inside one.
+    pub fn run<P, F, S>(&self, factory: F, mut stop: S) -> Outcome<P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
@@ -936,11 +797,13 @@ impl<'g> Simulator<'g> {
         let mut st = self.stepper(factory);
         loop {
             st.deliver();
-            if stop(st.nodes(), st.round()) {
-                return st.into_outcome(StopReason::Condition);
-            }
-            if st.all_done() {
-                return st.into_outcome(StopReason::AllDone);
+            if st.event_round() {
+                if stop(st.nodes(), st.round()) {
+                    return st.into_outcome(StopReason::Condition);
+                }
+                if st.all_done() {
+                    return st.into_outcome(StopReason::AllDone);
+                }
             }
             if st.at_round_cap() {
                 return st.into_outcome(StopReason::MaxRounds);
@@ -953,1077 +816,14 @@ impl<'g> Simulator<'g> {
     /// fault plan: the round loop as an inspectable value, for callers
     /// (the `gossip-mc` model checker) that need to pause between
     /// phases, snapshot/restore the full simulation state, or inject
-    /// faults and scripted choices mid-run. [`Simulator::run`] with one
-    /// thread drives exactly this machinery.
+    /// faults and scripted choices mid-run. [`Simulator::run`] drives
+    /// exactly this machinery.
     pub fn stepper<P, F>(&self, factory: F) -> Stepper<'g, P>
     where
         P: Protocol,
         F: FnMut(NodeId, usize) -> P,
     {
         Stepper::new(self.graph, self.config, self.faults.clone(), factory)
-    }
-
-    /// Executes one shard job. Runs on pool workers *and* on the
-    /// coordinator (job 0 of every dispatch); it must not touch any
-    /// state beyond the job itself and the simulator's shared
-    /// read-only fields (graph, config, fault plan).
-    fn work<P: Protocol>(&self, size_hint: usize, job: Job<P>) -> Done<P> {
-        match job {
-            Job::Exchanges {
-                mut shard,
-                mut inbox,
-                round,
-            } => {
-                for (local, x) in inbox.drain(..) {
-                    let i = shard.base + local;
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_exchange(&mut ctx, &x);
-                }
-                Done::Stepped { shard, inbox }
-            }
-            Job::Rounds { mut shard, round } => {
-                for local in 0..shard.nodes.len() {
-                    let i = shard.base + local;
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        shard.pending[local] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_round(&mut ctx);
-                }
-                Done::Stepped {
-                    shard,
-                    inbox: Vec::new(),
-                }
-            }
-            Job::FrontierRounds {
-                mut shard,
-                ids,
-                round,
-            } => {
-                for &id in &ids {
-                    let local = frontier_index(id);
-                    let i = shard.base + local;
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        shard.pending[local] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut shard.rngs[local],
-                        &mut shard.pending[local],
-                        &mut shard.wake[local],
-                    );
-                    shard.nodes[local].on_round(&mut ctx);
-                }
-                Done::SteppedIds { shard, ids }
-            }
-            Job::Snapshots {
-                shard,
-                uses,
-                mut snaps,
-            } => {
-                snaps.clear();
-                snaps.extend(
-                    shard
-                        .nodes
-                        .iter()
-                        .zip(&uses)
-                        .map(|(node, &u)| (u > 0).then(|| node.payload())),
-                );
-                Done::Snapped { shard, uses, snaps }
-            }
-        }
-    }
-
-    /// The multi-threaded round loop. Mirrors [`Self::run_sequential`]
-    /// phase for phase; every divergence is coordinator-side
-    /// bookkeeping whose observable effects (per-node callback
-    /// sequences, RNG draws, metric sums, schedule order) are provably
-    /// identical. See DESIGN.md §9 for the argument.
-    fn run_parallel<P, F, S, W>(
-        &self,
-        pool: &mut Pool<'_, Job<P>, Done<P>, W>,
-        mut factory: F,
-        mut stop: S,
-    ) -> Outcome<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-        W: Fn(Job<P>) -> Done<P>,
-    {
-        let n = self.graph.node_count();
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        // Contiguous shards of `chunk` nodes; the coordinator counts as
-        // a worker, so `shards ≤ config.threads` and every shard is
-        // non-empty.
-        let chunk = n.div_ceil(pool.workers());
-        let shards = n.div_ceil(chunk);
-
-        let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
-        let n_u64 = u64::try_from(n).expect("node count fits u64");
-        let mut rngs: Vec<StdRng> = (0..n_u64)
-            .map(|i| StdRng::seed_from_u64(splitmix64(self.config.seed ^ splitmix64(i))))
-            .collect();
-        let mut pending: Vec<Option<(NodeId, u32)>> = vec![None; n];
-        let mut wake: Vec<Option<Round>> = vec![None; n];
-        let l_max = self.graph.max_latency().map_or(0, Latency::rounds);
-        let mut queue: CalendarQueue<P::Payload> = CalendarQueue::new(l_max);
-        let mut due: Vec<InFlight<P::Payload>> = Vec::new();
-        let mut outstanding = vec![0u32; if self.config.blocking { n } else { 0 }];
-        let capped = self.config.connection_cap.is_some();
-        let mut order: Vec<usize> = if capped { (0..n).collect() } else { Vec::new() };
-        let mut engagements: Vec<usize> = vec![0; if capped { n } else { 0 }];
-        let mut metrics = SimMetrics::default();
-
-        // Reusable shard-sized buffers, recycled across rounds: empty
-        // shard skeletons, per-shard exchange inboxes, and the
-        // snapshot-phase use counts and payload slots.
-        let mut spare: Vec<Shard<P>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Vec<(usize, Exchange<P::Payload>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        let mut use_bufs: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut snap_bufs: Vec<Vec<Option<P::Payload>>> = (0..shards).map(|_| Vec::new()).collect();
-        // Snapshots may be materialized in parallel only when phase 4
-        // cannot mutate nodes between snapshot and launch: under a
-        // connection cap or blocking, `on_rejected` runs mid-phase, so
-        // the whole phase stays sequential (and trivially identical).
-        let par_snapshots = !capped && !self.config.blocking;
-
-        // on_start for every live node, before round 0 — sequential,
-        // exactly as in the reference path.
-        for i in 0..n {
-            if self.faults.is_crashed(NodeId::new(i), 0) {
-                continue;
-            }
-            let mut ctx = self.ctx(i, 0, size_hint, &mut rngs[i], &mut pending[i], &mut wake[i]);
-            nodes[i].on_start(&mut ctx);
-        }
-
-        let mut round: Round = 0;
-        loop {
-            // 1. Deliver exchanges completing now. The coordinator does
-            //    all bookkeeping (blocking slots, fault filtering,
-            //    metrics) in initiation order — none of it can be
-            //    influenced by this round's `on_exchange` calls — then
-            //    routes the surviving deliveries into per-shard
-            //    inboxes, preserving each node's delivery order.
-            queue.collect_due(round, &mut due);
-            if due.len() <= INLINE_WORK_MAX {
-                // Small batch: the exact sequential delivery loop on
-                // the master arrays — no carving, no channel traffic.
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, exchange) in [
-                        (
-                            a,
-                            Exchange {
-                                peer: b,
-                                payload: payload_b,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: true,
-                            },
-                        ),
-                        (
-                            b,
-                            Exchange {
-                                peer: a,
-                                payload: payload_a,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: false,
-                            },
-                        ),
-                    ] {
-                        let i = me.index();
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_exchange(&mut ctx, &exchange);
-                    }
-                }
-            } else {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    inboxes[a.index() / chunk].push((
-                        a.index() % chunk,
-                        Exchange {
-                            peer: b,
-                            payload: payload_b,
-                            initiated_at,
-                            completed_at: round,
-                            initiated_by_me: true,
-                        },
-                    ));
-                    inboxes[b.index() / chunk].push((
-                        b.index() % chunk,
-                        Exchange {
-                            peer: a,
-                            payload: payload_a,
-                            initiated_at,
-                            completed_at: round,
-                            initiated_by_me: false,
-                        },
-                    ));
-                }
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let inbox = mem::take(&mut inboxes[shard.base / chunk]);
-                    Job::Exchanges {
-                        shard,
-                        inbox,
-                        round,
-                    }
-                })
-                .collect();
-                for done in pool.dispatch(jobs) {
-                    let Done::Stepped { shard, inbox } = done else {
-                        unreachable!("exchange jobs return Stepped")
-                    };
-                    inboxes[shard.base / chunk] = inbox;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // 2. Stop checks — on the reassembled contiguous node
-            //    array, exactly as in the reference path.
-            if stop(&nodes, round) {
-                return Outcome {
-                    reason: StopReason::Condition,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-            if nodes.iter().all(Protocol::is_done) {
-                return Outcome {
-                    reason: StopReason::AllDone,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-            if round >= self.config.max_rounds {
-                return Outcome {
-                    reason: StopReason::MaxRounds,
-                    rounds: round,
-                    metrics,
-                    stats: EngineStats::default(),
-                    nodes,
-                };
-            }
-
-            // 3. Per-node round logic, sharded. Nodes share no mutable
-            //    state and each keeps its own RNG, so contiguous shards
-            //    merged back in node-id order reproduce the sequential
-            //    sweep exactly. Tiny networks run inline: carving costs
-            //    more than the sweep.
-            if n <= INLINE_WORK_MAX {
-                for i in 0..n {
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        pending[i] = None;
-                        continue;
-                    }
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                    );
-                    nodes[i].on_round(&mut ctx);
-                }
-            } else {
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| Job::Rounds { shard, round })
-                .collect();
-                for done in pool.dispatch(jobs) {
-                    let Done::Stepped { shard, .. } = done else {
-                        unreachable!("round jobs return Stepped")
-                    };
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // 4. Launch initiations. Fast path (no cap, no blocking):
-            //    nothing in this phase mutates a node, so payload
-            //    snapshots are materialized in parallel (one
-            //    `payload()` per engaged node, cloned per use — with no
-            //    intervening mutation that equals the sequential
-            //    per-use `payload()` calls) and the admission loop then
-            //    runs sequentially over plain data.
-            let engaged_count = pending.iter().filter(|p| p.is_some()).count();
-            if par_snapshots && engaged_count > INLINE_WORK_MAX {
-                for (k, uses) in use_bufs.iter_mut().enumerate() {
-                    let len = chunk.min(n - k * chunk);
-                    uses.clear();
-                    uses.resize(len, 0);
-                }
-                for (i, p) in pending.iter().enumerate() {
-                    if let Some((v, _)) = p {
-                        use_bufs[i / chunk][i % chunk] += 1;
-                        use_bufs[v.index() / chunk][v.index() % chunk] += 1;
-                    }
-                }
-                {
-                    let jobs: Vec<Job<P>> = split_shards(
-                        chunk,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    )
-                    .into_iter()
-                    .map(|shard| {
-                        let k = shard.base / chunk;
-                        Job::Snapshots {
-                            shard,
-                            uses: mem::take(&mut use_bufs[k]),
-                            snaps: mem::take(&mut snap_bufs[k]),
-                        }
-                    })
-                    .collect();
-                    for done in pool.dispatch(jobs) {
-                        let Done::Snapped { shard, uses, snaps } = done else {
-                            unreachable!("snapshot jobs return Snapped")
-                        };
-                        let k = shard.base / chunk;
-                        use_bufs[k] = uses;
-                        snap_bufs[k] = snaps;
-                        absorb_shard(
-                            shard,
-                            &mut nodes,
-                            &mut rngs,
-                            &mut pending,
-                            &mut wake,
-                            &mut spare,
-                        );
-                    }
-                    for (i, slot) in pending.iter_mut().enumerate() {
-                        let Some((v, vi)) = slot.take() else {
-                            continue;
-                        };
-                        let u = NodeId::new(i);
-                        metrics.initiated += 1;
-                        let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                        let payload_a = take_snap(chunk, &mut use_bufs, &mut snap_bufs, i);
-                        let payload_b = take_snap(chunk, &mut use_bufs, &mut snap_bufs, v.index());
-                        queue.schedule(
-                            round,
-                            lat.rounds(),
-                            InFlight {
-                                a: u,
-                                b: v,
-                                payload_a,
-                                payload_b,
-                                initiated_at: round,
-                            },
-                        );
-                    }
-                }
-            } else {
-                // Verbatim sequential phase 4 (admission order,
-                // rejections, `on_rejected` callbacks) — taken when the
-                // model requires it (cap / blocking) and for small
-                // rounds, where per-use `payload()` on the coordinator
-                // beats carving shards to parallelize snapshots.
-                if capped {
-                    for (k, slot) in order.iter_mut().enumerate() {
-                        *slot = k;
-                    }
-                    order.sort_by_key(|&i| {
-                        let i = u64::try_from(i).expect("node index fits u64");
-                        splitmix64(self.config.seed ^ round.wrapping_mul(0x5851_F42D) ^ i)
-                    });
-                    engagements.fill(0);
-                }
-                #[allow(clippy::needless_range_loop)] // `order` is only admission order under a cap
-                for k in 0..n {
-                    let i = if capped { order[k] } else { k };
-                    let Some((v, vi)) = pending[i].take() else {
-                        continue;
-                    };
-                    let u = NodeId::new(i);
-                    if self.config.blocking && outstanding[i] > 0 {
-                        metrics.rejected += 1;
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_rejected(&mut ctx, v);
-                        pending[i] = None;
-                        continue;
-                    }
-                    if let Some(cap) = self.config.connection_cap {
-                        if engagements[i] >= cap || engagements[v.index()] >= cap {
-                            metrics.rejected += 1;
-                            let mut ctx = self.ctx(
-                                i,
-                                round,
-                                size_hint,
-                                &mut rngs[i],
-                                &mut pending[i],
-                                &mut wake[i],
-                            );
-                            nodes[i].on_rejected(&mut ctx, v);
-                            pending[i] = None; // a rejection cannot re-initiate this round
-                            continue;
-                        }
-                        engagements[i] += 1;
-                        engagements[v.index()] += 1;
-                    }
-                    metrics.initiated += 1;
-                    if self.config.blocking {
-                        outstanding[i] += 1;
-                    }
-                    let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                    queue.schedule(
-                        round,
-                        lat.rounds(),
-                        InFlight {
-                            a: u,
-                            b: v,
-                            payload_a: nodes[i].payload(),
-                            payload_b: nodes[v.index()].payload(),
-                            initiated_at: round,
-                        },
-                    );
-                }
-            }
-
-            round += 1;
-        }
-    }
-
-    /// The on-demand round loop, for [`Scheduling::OnDemand`]
-    /// protocols in either [`EngineMode`] and at any thread count
-    /// (`pool` is `None` on the sequential path).
-    ///
-    /// Both modes compute the identical **frontier** each round —
-    /// round 0: every node; later rounds: delivered-exchange endpoints
-    /// plus due wakeups, ascending and deduplicated — and make the
-    /// identical callback sequence over it. They differ only in cost:
-    ///
-    /// * [`EngineMode::Dense`] rediscovers the frontier with a Θ(n)
-    ///   sweep and visits every round number — the pre-frontier
-    ///   engine's cost model, kept as the equivalence baseline.
-    /// * [`EngineMode::Frontier`] keeps the frontier incrementally
-    ///   (stamp array + push on delivery/wakeup) and, when a round has
-    ///   no event, jumps the round counter straight to the next
-    ///   calendar-queue or wake-queue occupancy. Idle nodes cost
-    ///   nothing; dead gaps cost nothing.
-    ///
-    /// The caller's stop closure and the all-done check run only on
-    /// event rounds (in both modes — see [`Scheduling::OnDemand`]);
-    /// the all-done check is O(1) via a done counter maintained for
-    /// exactly the nodes that received callbacks. The
-    /// [`SimConfig::max_rounds`] cap is honored at the same round
-    /// number in both modes (skip targets are clamped to the cap).
-    fn run_on_demand<P, F, S, W>(
-        &self,
-        mut pool: Option<&mut Pool<'_, Job<P>, Done<P>, W>>,
-        mut factory: F,
-        mut stop: S,
-    ) -> Outcome<P>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, usize) -> P,
-        S: FnMut(&[P], Round) -> bool,
-        W: Fn(Job<P>) -> Done<P>,
-    {
-        let n = self.graph.node_count();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "the on-demand engine indexes nodes with u32 ids"
-        );
-        let size_hint = self.config.size_hint.unwrap_or(n);
-        let dense = self.config.mode == EngineMode::Dense;
-        let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
-        let n_u64 = u64::try_from(n).expect("node count fits u64");
-        let mut rngs: Vec<StdRng> = (0..n_u64)
-            .map(|i| StdRng::seed_from_u64(splitmix64(self.config.seed ^ splitmix64(i))))
-            .collect();
-        let mut pending: Vec<Option<(NodeId, u32)>> = vec![None; n];
-        let mut wake: Vec<Option<Round>> = vec![None; n];
-        let l_max = self.graph.max_latency().map_or(0, Latency::rounds);
-        let mut queue: CalendarQueue<P::Payload> = CalendarQueue::new(l_max);
-        let mut due: Vec<InFlight<P::Payload>> = Vec::new();
-        let mut outstanding = vec![0u32; if self.config.blocking { n } else { 0 }];
-        let capped = self.config.connection_cap.is_some();
-        // Stamped engagement counters (capped model only): a counter is
-        // valid iff its mark equals `round + 1`, so per-round resets
-        // are O(touched), not O(n).
-        let mut engage_mark: Vec<Round> = vec![0; if capped { n } else { 0 }];
-        let mut engage_cnt: Vec<usize> = vec![0; if capped { n } else { 0 }];
-        // Capped admission candidates, re-sorted per round.
-        let mut cand: Vec<u32> = Vec::new();
-        let mut metrics = SimMetrics::default();
-        let mut stats = EngineStats::default();
-
-        // Frontier bookkeeping: `stamp[i] == round` ⇔ node i is on this
-        // round's frontier; `frontier` lists its members.
-        let mut wakes = WakeQueue::new();
-        let mut wake_due: Vec<u32> = Vec::new();
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut stamp: Vec<Round> = vec![Round::MAX; n];
-
-        // All-done bookkeeping: protocol state changes only inside
-        // callbacks, and every callback recipient is on the frontier,
-        // so refreshing flags for frontier members keeps the counter
-        // exact with O(frontier) work per round.
-        let mut done_flags: Vec<bool> = vec![false; n];
-        let mut done_count: usize = 0;
-
-        // Sharding buffers (threads > 1 only).
-        let chunk = match pool.as_ref() {
-            Some(p) => n.div_ceil(p.workers()),
-            None => n.max(1),
-        };
-        let shards = n.div_ceil(chunk.max(1)).max(1);
-        let mut spare: Vec<Shard<P>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Vec<(usize, Exchange<P::Payload>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        let mut id_bufs: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-
-        // on_start for every live node, before round 0; wake requests
-        // registered here are honored like any other.
-        for i in 0..n {
-            if !self.faults.is_crashed(NodeId::new(i), 0) {
-                let mut ctx =
-                    self.ctx(i, 0, size_hint, &mut rngs[i], &mut pending[i], &mut wake[i]);
-                nodes[i].on_start(&mut ctx);
-            }
-            if let Some(t) = wake[i].take() {
-                wakes.schedule(0, t, frontier_id(i));
-            }
-            if nodes[i].is_done() {
-                done_flags[i] = true;
-                done_count += 1;
-            }
-        }
-
-        let mut round: Round = 0;
-        loop {
-            // 1. Deliver exchanges completing now, adding surviving
-            //    endpoints to the frontier. Coordinator bookkeeping is
-            //    identical to the reference path; small batches run
-            //    callbacks inline, large ones are sharded.
-            queue.collect_due(round, &mut due);
-            let had_due = !due.is_empty();
-            frontier.clear();
-            if round == 0 {
-                // Round 0 is a universal wakeup: every node is stepped
-                // once, so protocols can bootstrap without a wake.
-                for (i, s) in stamp.iter_mut().enumerate().take(n) {
-                    *s = 0;
-                    frontier.push(frontier_id(i));
-                }
-            }
-            let inline_due = pool.is_none() || due.len() <= INLINE_WORK_MAX;
-            if inline_due {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, exchange) in [
-                        (
-                            a,
-                            Exchange {
-                                peer: b,
-                                payload: payload_b,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: true,
-                            },
-                        ),
-                        (
-                            b,
-                            Exchange {
-                                peer: a,
-                                payload: payload_a,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: false,
-                            },
-                        ),
-                    ] {
-                        let i = me.index();
-                        if stamp[i] != round {
-                            stamp[i] = round;
-                            frontier.push(frontier_id(i));
-                        }
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_exchange(&mut ctx, &exchange);
-                    }
-                }
-            } else {
-                for x in due.drain(..) {
-                    if self.config.blocking {
-                        outstanding[x.a.index()] = outstanding[x.a.index()].saturating_sub(1);
-                    }
-                    let a_ok = !self.faults.is_crashed(x.a, round);
-                    let b_ok = !self.faults.is_crashed(x.b, round);
-                    let link_ok = !self.faults.is_link_down(x.a, x.b, round);
-                    if !(a_ok && b_ok && link_ok) {
-                        metrics.lost += 1;
-                        continue;
-                    }
-                    metrics.delivered += 1;
-                    metrics.payload_units +=
-                        P::payload_weight(&x.payload_a) + P::payload_weight(&x.payload_b);
-                    let InFlight {
-                        a,
-                        b,
-                        payload_a,
-                        payload_b,
-                        initiated_at,
-                    } = x;
-                    for (me, peer, payload, mine) in
-                        [(a, b, payload_b, true), (b, a, payload_a, false)]
-                    {
-                        let i = me.index();
-                        if stamp[i] != round {
-                            stamp[i] = round;
-                            frontier.push(frontier_id(i));
-                        }
-                        inboxes[i / chunk].push((
-                            i % chunk,
-                            Exchange {
-                                peer,
-                                payload,
-                                initiated_at,
-                                completed_at: round,
-                                initiated_by_me: mine,
-                            },
-                        ));
-                    }
-                }
-                let p = pool.as_mut().expect("sharded path requires a pool");
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let inbox = mem::take(&mut inboxes[shard.base / chunk]);
-                    Job::Exchanges {
-                        shard,
-                        inbox,
-                        round,
-                    }
-                })
-                .collect();
-                for done in p.dispatch(jobs) {
-                    let Done::Stepped { shard, inbox } = done else {
-                        unreachable!("exchange jobs return Stepped")
-                    };
-                    inboxes[shard.base / chunk] = inbox;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // Due wakeups join the frontier.
-            wake_due.clear();
-            wakes.collect_due(round, &mut wake_due);
-            stats.woken += u64::try_from(wake_due.len()).expect("wake count fits u64");
-            for &id in &wake_due {
-                let i = frontier_index(id);
-                if stamp[i] != round {
-                    stamp[i] = round;
-                    frontier.push(id);
-                }
-            }
-
-            // Canonical frontier order: ascending node id. Dense mode
-            // pays the pre-frontier engine's Θ(n) sweep to rediscover
-            // it; frontier mode sorts the incremental list.
-            if dense {
-                frontier.clear();
-                for (i, s) in stamp.iter().enumerate() {
-                    if *s == round {
-                        frontier.push(frontier_id(i));
-                    }
-                }
-            } else {
-                frontier.sort_unstable();
-            }
-            stats.peak_frontier = stats.peak_frontier.max(frontier.len());
-
-            // 2. Stop checks — event rounds only (identically in both
-            //    modes, so traces stay byte-identical). Delivery
-            //    callbacks may have changed done states; refresh
-            //    frontier members before checking.
-            let event = round == 0 || had_due || !frontier.is_empty();
-            if event {
-                stats.event_rounds += 1;
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    let now_done = nodes[i].is_done();
-                    if now_done != done_flags[i] {
-                        done_flags[i] = now_done;
-                        if now_done {
-                            done_count += 1;
-                        } else {
-                            done_count -= 1;
-                        }
-                    }
-                }
-                if stop(&nodes, round) {
-                    return Outcome {
-                        reason: StopReason::Condition,
-                        rounds: round,
-                        metrics,
-                        stats,
-                        nodes,
-                    };
-                }
-                if done_count == n {
-                    return Outcome {
-                        reason: StopReason::AllDone,
-                        rounds: round,
-                        metrics,
-                        stats,
-                        nodes,
-                    };
-                }
-            }
-            if round >= self.config.max_rounds {
-                return Outcome {
-                    reason: StopReason::MaxRounds,
-                    rounds: round,
-                    metrics,
-                    stats,
-                    nodes,
-                };
-            }
-
-            // 3. Step the frontier (`on_round`). Small frontiers run
-            //    inline; large ones are sharded with per-shard id
-            //    lists.
-            let inline_frontier = pool.is_none() || frontier.len() <= INLINE_WORK_MAX;
-            if inline_frontier {
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    if self.faults.is_crashed(NodeId::new(i), round) {
-                        pending[i] = None;
-                        continue;
-                    }
-                    stats.stepped += 1;
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                    );
-                    nodes[i].on_round(&mut ctx);
-                }
-            } else {
-                // Workers apply the same crash filter per shard; the
-                // coordinator counts here so `stepped` matches the
-                // inline path exactly.
-                for &id in &frontier {
-                    let i = frontier_index(id);
-                    if !self.faults.is_crashed(NodeId::new(i), round) {
-                        stats.stepped += 1;
-                    }
-                    id_bufs[i / chunk].push(frontier_id(i % chunk));
-                }
-                let p = pool.as_mut().expect("sharded path requires a pool");
-                let jobs: Vec<Job<P>> = split_shards(
-                    chunk,
-                    &mut nodes,
-                    &mut rngs,
-                    &mut pending,
-                    &mut wake,
-                    &mut spare,
-                )
-                .into_iter()
-                .map(|shard| {
-                    let ids = mem::take(&mut id_bufs[shard.base / chunk]);
-                    Job::FrontierRounds { shard, ids, round }
-                })
-                .collect();
-                for done in p.dispatch(jobs) {
-                    let Done::SteppedIds { shard, mut ids } = done else {
-                        unreachable!("frontier jobs return SteppedIds")
-                    };
-                    ids.clear();
-                    id_bufs[shard.base / chunk] = ids;
-                    absorb_shard(
-                        shard,
-                        &mut nodes,
-                        &mut rngs,
-                        &mut pending,
-                        &mut wake,
-                        &mut spare,
-                    );
-                }
-            }
-
-            // 4. Launch initiations — only frontier nodes can hold a
-            //    pending initiation, so the sweep is O(frontier).
-            //    Snapshots are taken per use on the coordinator,
-            //    exactly like the sequential reference. Under a cap,
-            //    admission order is the seeded sort restricted to the
-            //    candidates (the same relative order the full-array
-            //    sort produces).
-            cand.clear();
-            cand.extend(
-                frontier
-                    .iter()
-                    .copied()
-                    .filter(|&id| pending[frontier_index(id)].is_some()),
-            );
-            if capped {
-                cand.sort_by_key(|&id| {
-                    splitmix64(self.config.seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(id))
-                });
-            }
-            let round_mark = round + 1;
-            for &cand_id in &cand {
-                let i = frontier_index(cand_id);
-                let Some((v, vi)) = pending[i].take() else {
-                    continue;
-                };
-                let u = NodeId::new(i);
-                if self.config.blocking && outstanding[i] > 0 {
-                    metrics.rejected += 1;
-                    let mut ctx = self.ctx(
-                        i,
-                        round,
-                        size_hint,
-                        &mut rngs[i],
-                        &mut pending[i],
-                        &mut wake[i],
-                    );
-                    nodes[i].on_rejected(&mut ctx, v);
-                    pending[i] = None;
-                    continue;
-                }
-                if let Some(cap) = self.config.connection_cap {
-                    let mine = if engage_mark[i] == round_mark {
-                        engage_cnt[i]
-                    } else {
-                        0
-                    };
-                    let theirs = if engage_mark[v.index()] == round_mark {
-                        engage_cnt[v.index()]
-                    } else {
-                        0
-                    };
-                    if mine >= cap || theirs >= cap {
-                        metrics.rejected += 1;
-                        let mut ctx = self.ctx(
-                            i,
-                            round,
-                            size_hint,
-                            &mut rngs[i],
-                            &mut pending[i],
-                            &mut wake[i],
-                        );
-                        nodes[i].on_rejected(&mut ctx, v);
-                        pending[i] = None; // a rejection cannot re-initiate this round
-                        continue;
-                    }
-                    engage_mark[i] = round_mark;
-                    engage_cnt[i] = mine + 1;
-                    engage_mark[v.index()] = round_mark;
-                    engage_cnt[v.index()] = theirs + 1;
-                }
-                metrics.initiated += 1;
-                if self.config.blocking {
-                    outstanding[i] += 1;
-                }
-                let lat = self.graph.neighbor_latencies(u)[latency_to_index(vi)];
-                queue.schedule(
-                    round,
-                    lat.rounds(),
-                    InFlight {
-                        a: u,
-                        b: v,
-                        payload_a: nodes[i].payload(),
-                        payload_b: nodes[v.index()].payload(),
-                        initiated_at: round,
-                    },
-                );
-            }
-
-            // End of round: refresh done flags (steps and rejections
-            // may have changed them) and drain wake requests for every
-            // callback recipient — all of whom are on the frontier.
-            for &id in &frontier {
-                let i = frontier_index(id);
-                let now_done = nodes[i].is_done();
-                if now_done != done_flags[i] {
-                    done_flags[i] = now_done;
-                    if now_done {
-                        done_count += 1;
-                    } else {
-                        done_count -= 1;
-                    }
-                }
-                if let Some(t) = wake[i].take() {
-                    wakes.schedule(round, t, id);
-                }
-            }
-
-            // Advance: dense visits every round; frontier jumps to the
-            // next event (clamped to the cap, where MaxRounds fires at
-            // the identical round number).
-            if dense {
-                round += 1;
-            } else {
-                let next = match (
-                    queue.next_occupied_after(round),
-                    wakes.next_occupied_after(round),
-                ) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) | (None, Some(a)) => a,
-                    // Quiescent: no exchange in flight, no wakeup
-                    // registered — nothing can ever happen again.
-                    (None, None) => self.config.max_rounds,
-                }
-                .min(self.config.max_rounds);
-                stats.skipped_rounds += next - round - 1;
-                round = next;
-            }
-        }
     }
 }
 
@@ -2099,12 +899,19 @@ fn node_ctx<'a>(
     .with_tape(tape)
 }
 
-/// The sequential round loop, reified as a steppable value.
+/// The engine's round loop, reified as a steppable value.
 ///
-/// [`Simulator::run`] with one thread is a thin driver over this type,
-/// so anything a verifier proves about `Stepper` transitions it proves
-/// about the shipping engine — checked code is shipped code. Beyond
-/// plain stepping, the `gossip-mc` model checker:
+/// [`Simulator::run`] is a thin driver over this type, so anything a
+/// verifier proves about `Stepper` transitions it proves about the
+/// shipping engine — checked code is shipped code. The stepper honors
+/// [`Protocol::SCHEDULING`]: an [`Scheduling::EveryRound`] protocol
+/// has every live node stepped every round; an
+/// [`Scheduling::OnDemand`] one has only its active frontier stepped
+/// (deliveries and due wakeups), with stop checks confined to event
+/// rounds and — under [`EngineMode::Frontier`] — dead round gaps
+/// skipped outright.
+///
+/// Beyond plain stepping, the `gossip-mc` model checker:
 ///
 /// * clones it (`Clone` is a deep snapshot — every piece of mutable
 ///   simulation state is plain owned data);
@@ -2113,15 +920,18 @@ fn node_ctx<'a>(
 /// * injects crashes and link drops mid-run
 ///   ([`inject_crash`](Self::inject_crash) /
 ///   [`inject_link_drop`](Self::inject_link_drop));
-/// * observes deliveries ([`deliver_observed`](Self::deliver_observed))
-///   and the queued exchanges ([`in_flight`](Self::in_flight)) to
-///   evaluate properties.
+/// * observes deliveries ([`deliver_observed`](Self::deliver_observed)),
+///   the queued exchanges ([`in_flight`](Self::in_flight)) and the
+///   registered wakeups ([`wakeups`](Self::wakeups)) to evaluate
+///   properties and encode states.
 ///
-/// One full round is `deliver()`, the caller's stop checks
-/// ([`all_done`](Self::all_done) / [`at_round_cap`](Self::at_round_cap)
-/// / a custom condition over [`nodes`](Self::nodes)), then
-/// [`advance`](Self::advance) — the exact phase order of the dense
-/// loop in [`Simulator::run`].
+/// One full round is `deliver()`; then, if
+/// [`event_round`](Self::event_round), the caller's stop checks (a
+/// custom condition over [`nodes`](Self::nodes), then
+/// [`all_done`](Self::all_done)); then
+/// [`at_round_cap`](Self::at_round_cap); then
+/// [`advance`](Self::advance) — the exact phase order of
+/// [`Simulator::run`].
 #[derive(Clone)]
 pub struct Stepper<'g, P: Protocol> {
     graph: &'g Graph,
@@ -2131,19 +941,44 @@ pub struct Stepper<'g, P: Protocol> {
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
     pending: Vec<Option<(NodeId, u32)>>,
-    /// Wake-request slots: written by [`Context::wake_at`], never read
-    /// here — this every-round engine steps each node regardless.
+    /// Wake-request slots written by [`Context::wake_at`]. OnDemand:
+    /// drained into `wakes` at the end of each round. EveryRound:
+    /// never read — every node is stepped regardless.
     wake: Vec<Option<Round>>,
-    queue: CalendarQueue<P::Payload>,
+    queue: CalendarQueue<InFlight<P::Payload>>,
     /// Delivery batch, reused every round.
     due: Vec<InFlight<P::Payload>>,
     /// Blocking mode: outstanding own-initiated exchanges per node.
     outstanding: Vec<u32>,
-    /// Initiation admission order and per-node engagement counters,
-    /// used (and re-filled) only under a connection cap.
-    order: Vec<usize>,
-    engagements: Vec<usize>,
+    /// Stamped engagement counters (capped model only): a counter is
+    /// valid iff its mark equals `round + 1`, so per-round resets are
+    /// O(touched), not O(n).
+    engage_mark: Vec<Round>,
+    engage_cnt: Vec<usize>,
+    /// Launch candidates (stepped nodes holding an initiation), in
+    /// admission order; refilled every round.
+    cand: Vec<u32>,
+    /// The nodes `advance` steps this round, ascending: every node for
+    /// EveryRound protocols (fixed at construction), the active
+    /// frontier for OnDemand ones (rebuilt by `deliver`).
+    frontier: Vec<u32>,
+    /// OnDemand: `stamp[i] == round` ⇔ node `i` is on this round's
+    /// frontier.
+    stamp: Vec<Round>,
+    /// OnDemand: registered wakeups (node ids), and the due batch.
+    wakes: CalendarQueue<u32>,
+    wake_due: Vec<u32>,
+    /// OnDemand all-done bookkeeping: protocol state changes only
+    /// inside callbacks, and every callback recipient is on the
+    /// frontier, so refreshing frontier members' flags keeps
+    /// `done_count` exact with O(frontier) work per round.
+    done_flags: Vec<bool>,
+    done_count: usize,
+    /// OnDemand: whether the current round is an event round (set by
+    /// `deliver`).
+    event: bool,
     metrics: SimMetrics,
+    stats: EngineStats,
     round: Round,
     /// Checker-installed choice script threaded into every callback
     /// [`Context`]; `None` in normal runs, making [`Context::choose`]
@@ -2152,10 +987,14 @@ pub struct Stepper<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> Stepper<'g, P> {
+    /// Whether `P` opts into frontier-sparse stepping.
+    const ON_DEMAND: bool = matches!(P::SCHEDULING, Scheduling::OnDemand);
+
     /// Builds the round-0 state: node instances, per-node RNGs, empty
-    /// queues, and the pre-round `on_start` sweep over live nodes.
-    /// `on_start` runs without a choice tape (none can be installed
-    /// yet); none of the shipped protocols branch there.
+    /// queues, and the pre-round `on_start` sweep over live nodes
+    /// (whose wake requests are honored like any other). `on_start`
+    /// runs without a choice tape (none can be installed yet); none of
+    /// the shipped protocols branch there.
     fn new<F>(
         graph: &'g Graph,
         config: SimConfig,
@@ -2166,6 +1005,10 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         F: FnMut(NodeId, usize) -> P,
     {
         let n = graph.node_count();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the engine indexes nodes with u32 ids"
+        );
         let size_hint = config.size_hint.unwrap_or(n);
         let mut nodes: Vec<P> = (0..n).map(|i| factory(NodeId::new(i), n)).collect();
         let n_u64 = u64::try_from(n).expect("node count fits u64");
@@ -2176,24 +1019,39 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         let mut wake: Vec<Option<Round>> = vec![None; n];
         let l_max = graph.max_latency().map_or(0, Latency::rounds);
         let capped = config.connection_cap.is_some();
+        let on_demand = Self::ON_DEMAND;
+        // The wake ring is sized like the exchange ring: the shipped
+        // OnDemand protocols wake one round ahead, longer waits spill
+        // into the overflow map, and a checker's cloned steppers stay
+        // small. EveryRound protocols never schedule a wakeup.
+        let mut wakes = CalendarQueue::new(if on_demand { l_max } else { 0 });
+        let mut done_flags = vec![false; if on_demand { n } else { 0 }];
+        let mut done_count = 0;
 
-        // on_start for every live node, before round 0.
         for i in 0..n {
-            if faults.is_crashed(NodeId::new(i), 0) {
-                continue;
+            if !faults.is_crashed(NodeId::new(i), 0) {
+                let mut ctx = node_ctx(
+                    graph,
+                    &config,
+                    size_hint,
+                    i,
+                    0,
+                    &mut rngs[i],
+                    &mut pending[i],
+                    &mut wake[i],
+                    None,
+                );
+                nodes[i].on_start(&mut ctx);
             }
-            let mut ctx = node_ctx(
-                graph,
-                &config,
-                size_hint,
-                i,
-                0,
-                &mut rngs[i],
-                &mut pending[i],
-                &mut wake[i],
-                None,
-            );
-            nodes[i].on_start(&mut ctx);
+            if on_demand {
+                if let Some(t) = wake[i].take() {
+                    wakes.schedule(0, t, frontier_id(i));
+                }
+                if nodes[i].is_done() {
+                    done_flags[i] = true;
+                    done_count += 1;
+                }
+            }
         }
 
         Stepper {
@@ -2208,9 +1066,22 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             queue: CalendarQueue::new(l_max),
             due: Vec::new(),
             outstanding: vec![0u32; if config.blocking { n } else { 0 }],
-            order: if capped { (0..n).collect() } else { Vec::new() },
-            engagements: vec![0; if capped { n } else { 0 }],
+            engage_mark: vec![0; if capped { n } else { 0 }],
+            engage_cnt: vec![0; if capped { n } else { 0 }],
+            cand: Vec::new(),
+            frontier: if on_demand {
+                Vec::new()
+            } else {
+                (0..n).map(frontier_id).collect()
+            },
+            stamp: vec![Round::MAX; if on_demand { n } else { 0 }],
+            wakes,
+            wake_due: Vec::new(),
+            done_flags,
+            done_count,
+            event: false,
             metrics: SimMetrics::default(),
+            stats: EngineStats::default(),
             round: 0,
             tape: None,
         }
@@ -2241,9 +1112,24 @@ impl<'g, P: Protocol> Stepper<'g, P> {
         &self.faults
     }
 
-    /// Whether every node reports [`Protocol::is_done`].
+    /// Whether the current round, as of its `deliver`, is an event
+    /// round: one whose stop checks count. Always `true` for
+    /// [`Scheduling::EveryRound`] protocols; for
+    /// [`Scheduling::OnDemand`] ones, round 0 and any round with a
+    /// completing exchange or a due wakeup.
+    pub fn event_round(&self) -> bool {
+        !Self::ON_DEMAND || self.event
+    }
+
+    /// Whether every node reports [`Protocol::is_done`]. O(1) for
+    /// [`Scheduling::OnDemand`] protocols (a done counter), O(n)
+    /// otherwise.
     pub fn all_done(&self) -> bool {
-        self.nodes.iter().all(Protocol::is_done)
+        if Self::ON_DEMAND {
+            self.done_count == self.nodes.len()
+        } else {
+            self.nodes.iter().all(Protocol::is_done)
+        }
     }
 
     /// Whether the round counter has reached [`SimConfig::max_rounds`].
@@ -2279,7 +1165,10 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     }
 
     /// Phase 1 of the round: delivers every exchange completing now
-    /// (fault-filtered), invoking `on_exchange` at both endpoints.
+    /// (fault-filtered), invoking `on_exchange` at both endpoints. For
+    /// [`Scheduling::OnDemand`] protocols it then gathers the round's
+    /// frontier (delivered endpoints plus due wakeups; every node in
+    /// round 0) and decides whether this is an event round.
     pub fn deliver(&mut self) {
         self.deliver_inner(None);
     }
@@ -2296,8 +1185,19 @@ impl<'g, P: Protocol> Stepper<'g, P> {
     /// delivery path never clones a payload.
     fn deliver_inner(&mut self, mut log: Option<&mut Vec<DeliveryRecord>>) {
         let round = self.round;
+        let on_demand = Self::ON_DEMAND;
         let mut due = mem::take(&mut self.due);
         self.queue.collect_due(round, &mut due);
+        let had_due = !due.is_empty();
+        if on_demand {
+            self.frontier.clear();
+            if round == 0 {
+                // Round 0 is a universal wakeup: every node is stepped
+                // once, so protocols can bootstrap without a wake.
+                self.stamp.fill(0);
+                self.frontier.extend((0..self.nodes.len()).map(frontier_id));
+            }
+        }
         for x in due.drain(..) {
             if self.config.blocking {
                 // The initiator's slot frees at completion time,
@@ -2318,6 +1218,7 @@ impl<'g, P: Protocol> Stepper<'g, P> {
                 });
             }
             if lost {
+                // A lost exchange wakes no one.
                 self.metrics.lost += 1;
                 continue;
             }
@@ -2354,6 +1255,10 @@ impl<'g, P: Protocol> Stepper<'g, P> {
                 ),
             ] {
                 let i = me.index();
+                if on_demand && self.stamp[i] != round {
+                    self.stamp[i] = round;
+                    self.frontier.push(frontier_id(i));
+                }
                 let mut ctx = node_ctx(
                     self.graph,
                     &self.config,
@@ -2369,21 +1274,86 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             }
         }
         self.due = due;
+        if on_demand {
+            self.gather_frontier(had_due);
+        }
     }
 
-    /// Phases 3–4 of the round — per-node `on_round` logic over live
-    /// nodes, then the launch of admitted initiations with payload
-    /// snapshots taken now — followed by the round increment.
-    pub fn advance(&mut self) {
-        let n = self.graph.node_count();
+    /// OnDemand: adds due wakeups to the frontier, puts it in canonical
+    /// order (ascending node id), and on event rounds refreshes the
+    /// done flags delivery callbacks may have changed.
+    ///
+    /// [`EngineMode::Dense`] pays the pre-frontier engine's Θ(n) sweep
+    /// to rediscover the frontier; [`EngineMode::Frontier`] sorts the
+    /// incremental list. Both yield the identical frontier.
+    fn gather_frontier(&mut self, had_due: bool) {
         let round = self.round;
-        let capped = self.config.connection_cap.is_some();
+        self.wake_due.clear();
+        self.wakes.collect_due(round, &mut self.wake_due);
+        self.stats.woken += u64::try_from(self.wake_due.len()).expect("wake count fits u64");
+        for &id in &self.wake_due {
+            let i = frontier_index(id);
+            if self.stamp[i] != round {
+                self.stamp[i] = round;
+                self.frontier.push(id);
+            }
+        }
+        if self.config.mode == EngineMode::Dense {
+            self.frontier.clear();
+            for (i, &s) in self.stamp.iter().enumerate() {
+                if s == round {
+                    self.frontier.push(frontier_id(i));
+                }
+            }
+        } else {
+            self.frontier.sort_unstable();
+        }
+        self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
+        self.event = round == 0 || had_due || !self.frontier.is_empty();
+        if self.event {
+            self.stats.event_rounds += 1;
+            self.refresh_done();
+        }
+    }
+
+    /// OnDemand: re-reads [`Protocol::is_done`] for every frontier
+    /// member, keeping `done_count` exact.
+    fn refresh_done(&mut self) {
+        for k in 0..self.frontier.len() {
+            let i = frontier_index(self.frontier[k]);
+            let now_done = self.nodes[i].is_done();
+            if now_done != self.done_flags[i] {
+                self.done_flags[i] = now_done;
+                if now_done {
+                    self.done_count += 1;
+                } else {
+                    self.done_count -= 1;
+                }
+            }
+        }
+    }
+
+    /// Phases 3–4 of the round — `on_round` for every live node on the
+    /// round's stepped set (all nodes, or the OnDemand frontier), then
+    /// the launch of admitted initiations with payload snapshots taken
+    /// now — followed by the move to the next round: the next one, or
+    /// for OnDemand protocols under [`EngineMode::Frontier`] the next
+    /// round with a completion or a wakeup due (clamped to
+    /// [`SimConfig::max_rounds`], where the cap fires at the same
+    /// round number as in dense mode).
+    pub fn advance(&mut self) {
+        let round = self.round;
+        let on_demand = Self::ON_DEMAND;
 
         // 3. Per-node round logic.
-        for i in 0..n {
+        for k in 0..self.frontier.len() {
+            let i = frontier_index(self.frontier[k]);
             if self.faults.is_crashed(NodeId::new(i), round) {
                 self.pending[i] = None;
                 continue;
+            }
+            if on_demand {
+                self.stats.stepped += 1;
             }
             let mut ctx = node_ctx(
                 self.graph,
@@ -2399,65 +1369,52 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             self.nodes[i].on_round(&mut ctx);
         }
 
-        // 4. Launch initiations (snapshot both endpoints now). Under
-        // a connection cap, initiations are admitted in a
-        // seeded-random order; an initiation counts one engagement
-        // at each endpoint and is rejected when either side is full.
-        if capped {
-            for (k, slot) in self.order.iter_mut().enumerate() {
-                *slot = k;
-            }
+        // 4. Launch initiations (snapshot both endpoints now). Only
+        // stepped nodes can hold one, so the sweep is O(frontier).
+        // Under a connection cap, initiations are admitted in a
+        // seeded-random order; an initiation counts one engagement at
+        // each endpoint and is rejected when either side is full.
+        self.cand.clear();
+        self.cand.extend(
+            self.frontier
+                .iter()
+                .copied()
+                .filter(|&id| self.pending[frontier_index(id)].is_some()),
+        );
+        if self.config.connection_cap.is_some() {
             let seed = self.config.seed;
-            self.order.sort_by_key(|&i| {
-                let i = u64::try_from(i).expect("node index fits u64");
-                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ i)
+            self.cand.sort_by_key(|&id| {
+                splitmix64(seed ^ round.wrapping_mul(0x5851_F42D) ^ u64::from(id))
             });
-            self.engagements.fill(0);
         }
-        #[allow(clippy::needless_range_loop)] // `order` is only admission order under a cap
-        for k in 0..n {
-            let i = if capped { self.order[k] } else { k };
+        let round_mark = round + 1;
+        for k in 0..self.cand.len() {
+            let i = frontier_index(self.cand[k]);
             let Some((v, vi)) = self.pending[i].take() else {
                 continue;
             };
             let u = NodeId::new(i);
             if self.config.blocking && self.outstanding[i] > 0 {
-                self.metrics.rejected += 1;
-                let mut ctx = node_ctx(
-                    self.graph,
-                    &self.config,
-                    self.size_hint,
-                    i,
-                    round,
-                    &mut self.rngs[i],
-                    &mut self.pending[i],
-                    &mut self.wake[i],
-                    self.tape.as_mut(),
-                );
-                self.nodes[i].on_rejected(&mut ctx, v);
-                self.pending[i] = None;
+                self.reject(i, v);
                 continue;
             }
             if let Some(cap) = self.config.connection_cap {
-                if self.engagements[i] >= cap || self.engagements[v.index()] >= cap {
-                    self.metrics.rejected += 1;
-                    let mut ctx = node_ctx(
-                        self.graph,
-                        &self.config,
-                        self.size_hint,
-                        i,
-                        round,
-                        &mut self.rngs[i],
-                        &mut self.pending[i],
-                        &mut self.wake[i],
-                        self.tape.as_mut(),
-                    );
-                    self.nodes[i].on_rejected(&mut ctx, v);
-                    self.pending[i] = None; // a rejection cannot re-initiate this round
+                let engaged = |j: usize| {
+                    if self.engage_mark[j] == round_mark {
+                        self.engage_cnt[j]
+                    } else {
+                        0
+                    }
+                };
+                let (mine, theirs) = (engaged(i), engaged(v.index()));
+                if mine >= cap || theirs >= cap {
+                    self.reject(i, v);
                     continue;
                 }
-                self.engagements[i] += 1;
-                self.engagements[v.index()] += 1;
+                self.engage_mark[i] = round_mark;
+                self.engage_cnt[i] = mine + 1;
+                self.engage_mark[v.index()] = round_mark;
+                self.engage_cnt[v.index()] = theirs + 1;
             }
             self.metrics.initiated += 1;
             if self.config.blocking {
@@ -2480,33 +1437,72 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             );
         }
 
-        self.round += 1;
+        if !on_demand {
+            self.round += 1;
+            return;
+        }
+
+        // End of an OnDemand round: refresh done flags (steps and
+        // rejections may have changed them) and drain wake requests
+        // for every callback recipient — all of whom are on the
+        // frontier.
+        self.refresh_done();
+        for k in 0..self.frontier.len() {
+            let id = self.frontier[k];
+            if let Some(t) = self.wake[frontier_index(id)].take() {
+                self.wakes.schedule(round, t - round, id);
+            }
+        }
+
+        // Dense visits every round; frontier jumps to the next event.
+        if self.config.mode == EngineMode::Dense {
+            self.round += 1;
+        } else {
+            let next = match (
+                self.queue.next_occupied_after(round),
+                self.wakes.next_occupied_after(round),
+            ) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) | (None, Some(a)) => a,
+                // Quiescent: no exchange in flight, no wakeup
+                // registered — nothing can ever happen again.
+                (None, None) => self.config.max_rounds,
+            }
+            .min(self.config.max_rounds)
+            .max(round + 1);
+            self.stats.skipped_rounds += next - round - 1;
+            self.round = next;
+        }
+    }
+
+    /// Rejects node `i`'s initiation toward `v` (blocking or connection
+    /// cap): counts it and notifies the node, which cannot re-initiate
+    /// this round.
+    fn reject(&mut self, i: usize, v: NodeId) {
+        self.metrics.rejected += 1;
+        let mut ctx = node_ctx(
+            self.graph,
+            &self.config,
+            self.size_hint,
+            i,
+            self.round,
+            &mut self.rngs[i],
+            &mut self.pending[i],
+            &mut self.wake[i],
+            self.tape.as_mut(),
+        );
+        self.nodes[i].on_rejected(&mut ctx, v);
+        self.pending[i] = None;
     }
 
     /// Every exchange still queued, in delivery order (completion
     /// round ascending; within a round, overflow batch before ring
-    /// slot), with completion rounds reconstructed from ring positions
-    /// via the slot invariant: each occupied slot holds exactly one
-    /// completion round, within `[round, round + slots)`.
+    /// slot).
     pub fn in_flight(&self) -> Vec<InFlightView<'_, P::Payload>> {
-        let slots = self.queue.slots();
-        let mut entries: Vec<(Round, u8, &InFlight<P::Payload>)> = Vec::new();
-        for (&at, batch) in &self.queue.overflow {
-            entries.extend(batch.iter().map(|x| (at, 0, x)));
-        }
-        for (s, slot) in self.queue.ring.iter().enumerate() {
-            if slot.is_empty() {
-                continue;
-            }
-            let s = u64::try_from(s).expect("ring slot index fits u64");
-            let at = self.round + (s + slots - self.round % slots) % slots;
-            entries.extend(slot.iter().map(|x| (at, 1, x)));
-        }
-        // Stable sort: initiation order within a slot is preserved.
-        entries.sort_by_key(|&(at, tier, _)| (at, tier));
-        entries
+        self.queue
+            .in_order(self.round)
             .into_iter()
-            .map(|(at, _, x)| InFlightView {
+            .map(|(at, x)| InFlightView {
                 a: x.a,
                 b: x.b,
                 initiated_at: x.initiated_at,
@@ -2517,155 +1513,28 @@ impl<'g, P: Protocol> Stepper<'g, P> {
             .collect()
     }
 
+    /// Every registered wakeup as `(due round, node)`, in the order
+    /// `deliver` will consume them (due round ascending; within a
+    /// round, overflow batch before ring slot). Always empty for
+    /// [`Scheduling::EveryRound`] protocols, whose wake requests are
+    /// never scheduled.
+    pub fn wakeups(&self) -> Vec<(Round, NodeId)> {
+        self.wakes
+            .in_order(self.round)
+            .into_iter()
+            .map(|(at, &id)| (at, NodeId::new(frontier_index(id))))
+            .collect()
+    }
+
     /// Consumes the stepper into a terminal [`Outcome`].
     pub fn into_outcome(self, reason: StopReason) -> Outcome<P> {
         Outcome {
             reason,
             rounds: self.round,
             metrics: self.metrics,
-            stats: EngineStats::default(),
+            stats: self.stats,
             nodes: self.nodes,
         }
-    }
-}
-
-/// One contiguous slice of the simulation state, shipped to a pool
-/// worker by value: nodes `base..base + nodes.len()` together with
-/// their RNGs and pending-initiation slots.
-struct Shard<P> {
-    base: usize,
-    nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    pending: Vec<Option<(NodeId, u32)>>,
-    wake: Vec<Option<Round>>,
-}
-
-impl<P> Shard<P> {
-    fn empty() -> Shard<P> {
-        Shard {
-            base: 0,
-            nodes: Vec::new(),
-            rngs: Vec::new(),
-            pending: Vec::new(),
-            wake: Vec::new(),
-        }
-    }
-}
-
-/// A unit of work for [`Simulator::work`], one per shard per phase.
-enum Job<P: Protocol> {
-    /// Phase 1: deliver routed exchanges. `inbox` holds
-    /// `(shard-local node index, exchange)` pairs in global delivery
-    /// order, so each node sees its deliveries in the sequential
-    /// order.
-    Exchanges {
-        shard: Shard<P>,
-        inbox: Vec<(usize, Exchange<P::Payload>)>,
-        round: Round,
-    },
-    /// Phase 3: `on_round` for every live node in the shard.
-    Rounds { shard: Shard<P>, round: Round },
-    /// Phase 3, on-demand: `on_round` for the listed shard-local
-    /// indices only (the shard's slice of the active frontier,
-    /// ascending).
-    FrontierRounds {
-        shard: Shard<P>,
-        ids: Vec<u32>,
-        round: Round,
-    },
-    /// Phase 4 (uncapped, non-blocking only): materialize one payload
-    /// snapshot per node with a non-zero use count.
-    Snapshots {
-        shard: Shard<P>,
-        uses: Vec<u32>,
-        snaps: Vec<Option<P::Payload>>,
-    },
-}
-
-/// The result of a [`Job`], carrying the shard (and any reusable
-/// buffers) back to the coordinator.
-enum Done<P: Protocol> {
-    /// [`Job::Exchanges`] / [`Job::Rounds`] completed; `inbox` is
-    /// drained but keeps its capacity for reuse.
-    Stepped {
-        shard: Shard<P>,
-        inbox: Vec<(usize, Exchange<P::Payload>)>,
-    },
-    /// [`Job::Snapshots`] completed; `snaps[local]` is `Some` exactly
-    /// where `uses[local] > 0`.
-    Snapped {
-        shard: Shard<P>,
-        uses: Vec<u32>,
-        snaps: Vec<Option<P::Payload>>,
-    },
-    /// [`Job::FrontierRounds`] completed; `ids` keeps its capacity for
-    /// reuse.
-    SteppedIds { shard: Shard<P>, ids: Vec<u32> },
-}
-
-/// Carves the master state vectors into contiguous per-shard buffers.
-/// Fills tail-first so every `drain` moves a pure suffix (no element
-/// shifting), then reverses into ascending-base order; buffer
-/// capacities are recycled through `spare` across rounds.
-fn split_shards<P>(
-    chunk: usize,
-    nodes: &mut Vec<P>,
-    rngs: &mut Vec<StdRng>,
-    pending: &mut Vec<Option<(NodeId, u32)>>,
-    wake: &mut Vec<Option<Round>>,
-    spare: &mut Vec<Shard<P>>,
-) -> Vec<Shard<P>> {
-    let count = nodes.len().div_ceil(chunk);
-    let mut out: Vec<Shard<P>> = Vec::with_capacity(count);
-    for k in (0..count).rev() {
-        let base = k * chunk;
-        let mut s = spare.pop().unwrap_or_else(Shard::empty);
-        s.base = base;
-        s.nodes.extend(nodes.drain(base..));
-        s.rngs.extend(rngs.drain(base..));
-        s.pending.extend(pending.drain(base..));
-        s.wake.extend(wake.drain(base..));
-        out.push(s);
-    }
-    out.reverse();
-    out
-}
-
-/// Returns one shard's contents to the master vectors. Shards must be
-/// absorbed in ascending-base order (the order [`Pool::dispatch`]
-/// returns them) so the masters reassemble in node-id order — the
-/// deterministic-merge step.
-fn absorb_shard<P>(
-    mut s: Shard<P>,
-    nodes: &mut Vec<P>,
-    rngs: &mut Vec<StdRng>,
-    pending: &mut Vec<Option<(NodeId, u32)>>,
-    wake: &mut Vec<Option<Round>>,
-    spare: &mut Vec<Shard<P>>,
-) {
-    debug_assert_eq!(nodes.len(), s.base, "shards absorbed out of order");
-    nodes.append(&mut s.nodes);
-    rngs.append(&mut s.rngs);
-    pending.append(&mut s.pending);
-    wake.append(&mut s.wake);
-    spare.push(s);
-}
-
-/// Consumes one use of node `i`'s pre-materialized payload snapshot:
-/// clones while further uses remain, moves on the last one.
-fn take_snap<T: Clone>(
-    chunk: usize,
-    use_bufs: &mut [Vec<u32>],
-    snap_bufs: &mut [Vec<Option<T>>],
-    i: usize,
-) -> T {
-    let (k, local) = (i / chunk, i % chunk);
-    use_bufs[k][local] -= 1;
-    let slot = &mut snap_bufs[k][local];
-    if use_bufs[k][local] == 0 {
-        slot.take().expect("snapshot present for engaged node")
-    } else {
-        slot.clone().expect("snapshot present for engaged node")
     }
 }
 
@@ -3151,7 +2020,7 @@ mod tests {
         // ring/overflow boundary; collection must be chronological by
         // initiation round.
         let target = MAX_RING_SLOTS + 50;
-        let mut q: CalendarQueue<u64> = CalendarQueue::new(MAX_RING_SLOTS + 100);
+        let mut q: CalendarQueue<InFlight<u64>> = CalendarQueue::new(MAX_RING_SLOTS + 100);
         let mk = |tag: u64, initiated_at: Round| InFlight {
             a: NodeId::new(0),
             b: NodeId::new(1),
@@ -3180,7 +2049,7 @@ mod tests {
 
     #[test]
     fn calendar_queue_reuses_slot_capacity() {
-        let mut q: CalendarQueue<()> = CalendarQueue::new(1);
+        let mut q: CalendarQueue<InFlight<()>> = CalendarQueue::new(1);
         assert_eq!(q.slots(), 2);
         let mk = |r: Round| InFlight {
             a: NodeId::new(0),
@@ -3206,7 +2075,7 @@ mod tests {
         // Repeated overflow rounds must reuse one recycled buffer
         // rather than allocating a fresh Vec per hit, and each batch
         // must come out in initiation order.
-        let mut q: CalendarQueue<u64> = CalendarQueue::new(MAX_RING_SLOTS + 10);
+        let mut q: CalendarQueue<InFlight<u64>> = CalendarQueue::new(MAX_RING_SLOTS + 10);
         let mk = |tag: u64, initiated_at: Round| InFlight {
             a: NodeId::new(0),
             b: NodeId::new(1),
@@ -3228,150 +2097,6 @@ mod tests {
             assert_eq!(q.spare.len(), 1, "one buffer recycled, not re-allocated");
             assert!(q.spare[0].capacity() >= 2, "capacity survives recycling");
         }
-    }
-
-    /// The MT determinism harness: runs the flood protocol with the
-    /// given config at 1 thread and at `threads`, asserting identical
-    /// stop reason, rounds, metrics, and per-node rumor sets.
-    fn assert_mt_matches(g: &Graph, base: SimConfig, faults: &FaultPlan, threads: usize) {
-        let run_at = |t: usize| {
-            let cfg = SimConfig { threads: t, ..base };
-            Simulator::new(g, cfg)
-                .with_faults(faults.clone())
-                .run(flood_factory, |_, r| r >= 40)
-        };
-        let seq = run_at(1);
-        let par = run_at(threads);
-        assert_eq!(seq.reason, par.reason);
-        assert_eq!(seq.rounds, par.rounds);
-        assert_eq!(seq.metrics, par.metrics);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.rumors.fingerprint(), b.rumors.fingerprint());
-            assert_eq!(a.cursor, b.cursor);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_plain() {
-        for threads in [2, 3, 4, 7] {
-            assert_mt_matches(
-                &generators::cycle(33),
-                SimConfig::default(),
-                &FaultPlan::none(),
-                threads,
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_with_faults() {
-        let plan = FaultPlan::none()
-            .crash(NodeId::new(3), 5)
-            .crash(NodeId::new(11), 0)
-            .drop_link(NodeId::new(0), NodeId::new(1), 2);
-        assert_mt_matches(&generators::cycle(24), SimConfig::default(), &plan, 4);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_capped_and_blocking() {
-        // Cap and blocking force the sequential phase-4 slow path;
-        // phases 1 and 3 still shard.
-        let g = generators::star(17);
-        for cfg in [
-            SimConfig {
-                connection_cap: Some(1),
-                ..SimConfig::default()
-            },
-            SimConfig {
-                blocking: true,
-                ..SimConfig::default()
-            },
-            SimConfig {
-                connection_cap: Some(2),
-                blocking: true,
-                seed: 9,
-                ..SimConfig::default()
-            },
-        ] {
-            assert_mt_matches(&g, cfg, &FaultPlan::none(), 4);
-        }
-    }
-
-    #[test]
-    fn parallel_rng_streams_identical() {
-        // The seeded-random protocol draws from per-node RNGs in
-        // on_round; sharding must not perturb any node's stream.
-        struct RandomCall {
-            rumors: RumorSet,
-            log: Vec<NodeId>,
-        }
-        impl Protocol for RandomCall {
-            type Payload = RumorSet;
-            fn payload(&self) -> RumorSet {
-                self.rumors.clone()
-            }
-            fn on_round(&mut self, ctx: &mut Context<'_>) {
-                use rand::Rng as _;
-                let d = ctx.degree();
-                let i = ctx.rng().random_range(0..d);
-                self.log.push(ctx.neighbor_ids()[i]);
-                ctx.initiate_nth(i);
-            }
-            fn on_exchange(&mut self, _: &mut Context<'_>, x: &Exchange<RumorSet>) {
-                self.rumors.union_with(&x.payload);
-            }
-        }
-        let g = generators::clique(13);
-        let mk = |id: NodeId, n: usize| RandomCall {
-            rumors: RumorSet::singleton(n, id),
-            log: vec![],
-        };
-        let run_at = |t: usize| {
-            let cfg = SimConfig {
-                seed: 23,
-                threads: t,
-                ..SimConfig::default()
-            };
-            Simulator::new(&g, cfg).run(mk, |ns: &[RandomCall], _| {
-                ns.iter().all(|x| x.rumors.is_full())
-            })
-        };
-        let seq = run_at(1);
-        let par = run_at(5);
-        assert_eq!(seq.rounds, par.rounds);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.log, b.log, "per-node RNG stream perturbed");
-        }
-    }
-
-    #[test]
-    fn more_threads_than_nodes_is_clamped() {
-        let g = generators::path(3);
-        let cfg = SimConfig {
-            threads: 64,
-            ..SimConfig::default()
-        };
-        let out = Simulator::new(&g, cfg)
-            .run(flood_factory, |ns, _| ns.iter().all(|f| f.rumors.is_full()));
-        let seq = Simulator::new(&g, SimConfig::default())
-            .run(flood_factory, |ns, _| ns.iter().all(|f| f.rumors.is_full()));
-        assert_eq!(out.rounds, seq.rounds);
-        assert_eq!(out.metrics, seq.metrics);
-    }
-
-    #[test]
-    fn parallel_snapshot_taken_at_initiation() {
-        // The pre-materialized parallel snapshots must still reflect
-        // initiation-time state (same setup as the sequential
-        // `snapshot_taken_at_initiation` test).
-        let g = Graph::from_edges(3, [(0, 1, 1), (1, 2, 5)]).unwrap();
-        let cfg = SimConfig {
-            threads: 3,
-            ..SimConfig::default()
-        };
-        let out = Simulator::new(&g, cfg)
-            .run(flood_factory, |ns, _| ns[2].rumors.contains(NodeId::new(0)));
-        assert_eq!(out.rounds, 6);
     }
 
     #[test]
@@ -3583,6 +2308,69 @@ mod tests {
         assert_eq!(log[1].a, NodeId::new(1));
         assert!(st.in_flight().is_empty());
         assert!(st.nodes().iter().all(|x| x.rumors.is_full()));
+    }
+
+    #[test]
+    fn stepper_honors_on_demand_scheduling() {
+        // Node 0 sleeps after round 0; node 1 wakes itself at round 3
+        // and then at round 4100 (both beyond the wake ring, which
+        // ℓ_max = 1 sizes at two slots, so both take the overflow).
+        // The stepper must step only round 0 and the due wakeups, list
+        // the pending wakeups in due order, skip the dead gaps, and
+        // report the stepping in `stats`.
+        struct Sleeper {
+            steps: Vec<Round>,
+        }
+        impl Protocol for Sleeper {
+            const SCHEDULING: Scheduling = Scheduling::OnDemand;
+            type Payload = ();
+            fn payload(&self) {}
+            fn on_round(&mut self, ctx: &mut Context<'_>) {
+                self.steps.push(ctx.round());
+                if ctx.id() == NodeId::new(1) && ctx.round() == 0 {
+                    ctx.wake_at(3);
+                } else if ctx.id() == NodeId::new(1) && ctx.round() == 3 {
+                    ctx.wake_at(4100);
+                }
+            }
+            fn on_exchange(&mut self, _: &mut Context<'_>, _: &Exchange<()>) {}
+        }
+        let g = generators::path(2);
+        let cfg = SimConfig {
+            max_rounds: 5000,
+            ..SimConfig::default()
+        };
+        let sim = Simulator::new(&g, cfg);
+        let mut st = sim.stepper(|_, _| Sleeper { steps: vec![] });
+        st.deliver();
+        assert!(st.event_round());
+        st.advance();
+        assert_eq!(st.wakeups(), vec![(3, NodeId::new(1))]);
+        assert_eq!(st.round(), 3, "frontier mode skips the dead gap");
+        st.deliver();
+        st.advance();
+        assert_eq!(st.wakeups(), vec![(4100, NodeId::new(1))]);
+        assert_eq!(st.round(), 4100);
+        st.deliver();
+        st.advance();
+        assert!(st.wakeups().is_empty());
+        assert!(st.at_round_cap(), "quiescent: jump straight to the cap");
+        let out = st.into_outcome(StopReason::MaxRounds);
+        assert_eq!(out.nodes[0].steps, vec![0]);
+        assert_eq!(out.nodes[1].steps, vec![0, 3, 4100]);
+        let stats = out.stats;
+        assert_eq!((stats.stepped, stats.woken, stats.event_rounds), (4, 2, 3));
+        // Rounds 0, 3, 4100 and the cap 5000 are visited.
+        assert_eq!(stats.skipped_rounds, 5001 - 4);
+
+        // An EveryRound protocol never schedules a wakeup and reports
+        // zero stats, whatever it asks for.
+        let mut every = sim.stepper(flood_factory);
+        every.deliver();
+        every.advance();
+        assert!(every.wakeups().is_empty());
+        let out = every.into_outcome(StopReason::MaxRounds);
+        assert_eq!(out.stats, EngineStats::default());
     }
 
     #[test]

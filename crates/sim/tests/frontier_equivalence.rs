@@ -4,12 +4,17 @@
 //! skipping) and the [`EngineMode::Dense`] path (Θ(n) per-round frontier
 //! rediscovery, every round visited) produce identical outcomes —
 //! rounds, stop reason, metrics, per-node states, and the
-//! mode-independent engine counters — at 1 and 4 worker threads, over
-//! random connected topologies crossed with random fault plans,
-//! connection caps, and stop conditions.
+//! mode-independent engine counters — over random connected topologies
+//! crossed with random fault plans, connection caps, and stop
+//! conditions. Each run is also driven by hand through
+//! [`Simulator::stepper`], which must reproduce `Simulator::run`
+//! exactly: the model checker explores `Stepper`, so this is what makes
+//! its verdicts about `OnDemand` protocols verdicts about the shipped
+//! engine.
 
 use gossip_sim::{
-    Context, EngineMode, Exchange, FaultPlan, Protocol, RumorSet, Scheduling, SimConfig, Simulator,
+    Context, EngineMode, EngineStats, Exchange, FaultPlan, Outcome, Protocol, RumorSet, Scheduling,
+    SimConfig, Simulator, StopReason,
 };
 use latency_graph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -116,7 +121,7 @@ impl Protocol for Jitter {
 #[derive(Debug, PartialEq, Eq)]
 struct Digest {
     rounds: u64,
-    reason: &'static str,
+    reason: StopReason,
     initiated: u64,
     delivered: u64,
     lost: u64,
@@ -129,6 +134,54 @@ struct Digest {
     peak_frontier: usize,
 }
 
+impl Digest {
+    fn of(out: &Outcome<Jitter>) -> Digest {
+        Digest {
+            rounds: out.rounds,
+            reason: out.reason,
+            initiated: out.metrics.initiated,
+            delivered: out.metrics.delivered,
+            lost: out.metrics.lost,
+            rejected: out.metrics.rejected,
+            payload_units: out.metrics.payload_units,
+            fingerprints: out.nodes.iter().map(|x| x.rumors.fingerprint()).collect(),
+            stepped: out.stats.stepped,
+            woken: out.stats.woken,
+            event_rounds: out.stats.event_rounds,
+            peak_frontier: out.stats.peak_frontier,
+        }
+    }
+}
+
+fn jitter(id: NodeId, n: usize) -> Jitter {
+    Jitter {
+        rumors: RumorSet::singleton(n, id),
+    }
+}
+
+fn simulator<'g>(
+    g: &'g Graph,
+    faults: &FaultPlan,
+    seed: u64,
+    cap: Option<usize>,
+    mode: EngineMode,
+) -> Simulator<'g> {
+    let cfg = SimConfig {
+        seed,
+        max_rounds: 40,
+        connection_cap: cap,
+        mode,
+        ..SimConfig::default()
+    };
+    Simulator::new(g, cfg).with_faults(faults.clone())
+}
+
+fn reached(ns: &[Jitter], target: usize) -> bool {
+    ns.iter().map(|x| x.rumors.len()).sum::<usize>() >= target
+}
+
+/// `Simulator::run`'s digest, plus its full engine counters (whose
+/// `skipped_rounds` is mode-dependent, so it stays out of the digest).
 fn run_once(
     g: &Graph,
     faults: &FaultPlan,
@@ -136,47 +189,49 @@ fn run_once(
     cap: Option<usize>,
     target: usize,
     mode: EngineMode,
-    threads: usize,
-) -> Digest {
-    let cfg = SimConfig {
-        seed,
-        max_rounds: 40,
-        threads,
-        connection_cap: cap,
-        mode,
-        ..SimConfig::default()
+) -> (Digest, EngineStats) {
+    let out =
+        simulator(g, faults, seed, cap, mode).run(jitter, |ns: &[Jitter], _| reached(ns, target));
+    (Digest::of(&out), out.stats)
+}
+
+/// The same run driven by hand through the public `Stepper` API:
+/// deliver, then the stop checks (event rounds only), then the cap
+/// check, then advance.
+fn step_once(
+    g: &Graph,
+    faults: &FaultPlan,
+    seed: u64,
+    cap: Option<usize>,
+    target: usize,
+    mode: EngineMode,
+) -> (Digest, EngineStats) {
+    let sim = simulator(g, faults, seed, cap, mode);
+    let mut st = sim.stepper(jitter);
+    let out = loop {
+        st.deliver();
+        if st.event_round() {
+            if reached(st.nodes(), target) {
+                break st.into_outcome(StopReason::Condition);
+            }
+            if st.all_done() {
+                break st.into_outcome(StopReason::AllDone);
+            }
+        }
+        if st.at_round_cap() {
+            break st.into_outcome(StopReason::MaxRounds);
+        }
+        st.advance();
     };
-    let out = Simulator::new(g, cfg).with_faults(faults.clone()).run(
-        |id, n| Jitter {
-            rumors: RumorSet::singleton(n, id),
-        },
-        move |ns: &[Jitter], _| ns.iter().map(|x| x.rumors.len()).sum::<usize>() >= target,
-    );
-    Digest {
-        rounds: out.rounds,
-        reason: if out.stopped_by_condition() {
-            "condition"
-        } else {
-            "max-rounds"
-        },
-        initiated: out.metrics.initiated,
-        delivered: out.metrics.delivered,
-        lost: out.metrics.lost,
-        rejected: out.metrics.rejected,
-        payload_units: out.metrics.payload_units,
-        fingerprints: out.nodes.iter().map(|x| x.rumors.fingerprint()).collect(),
-        stepped: out.stats.stepped,
-        woken: out.stats.woken,
-        event_rounds: out.stats.event_rounds,
-        peak_frontier: out.stats.peak_frontier,
-    }
+    (Digest::of(&out), out.stats)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Dense × Frontier × {1, 4} threads all agree on every pinned
-    /// observable.
+    /// Dense and Frontier agree on every pinned observable, and in each
+    /// mode a hand-driven `Stepper` reproduces `Simulator::run`
+    /// exactly, engine counters (skipped rounds included) and all.
     #[test]
     fn dense_and_frontier_agree(
         n in 2usize..14,
@@ -195,17 +250,12 @@ proptest! {
             1 => n * n / 2,
             _ => n + n / 2,
         };
-        let reference = run_once(&g, &faults, seed, cap, target, EngineMode::Frontier, 1);
-        for (mode, threads) in [
-            (EngineMode::Frontier, 4),
-            (EngineMode::Dense, 1),
-            (EngineMode::Dense, 4),
-        ] {
-            let got = run_once(&g, &faults, seed, cap, target, mode, threads);
-            prop_assert_eq!(
-                &got, &reference,
-                "{:?} × {} threads diverged from Frontier × 1", mode, threads
-            );
+        let frontier = run_once(&g, &faults, seed, cap, target, EngineMode::Frontier);
+        let dense = run_once(&g, &faults, seed, cap, target, EngineMode::Dense);
+        prop_assert_eq!(&dense.0, &frontier.0, "Dense diverged from Frontier");
+        for (mode, ran) in [(EngineMode::Frontier, &frontier), (EngineMode::Dense, &dense)] {
+            let stepped = step_once(&g, &faults, seed, cap, target, mode);
+            prop_assert_eq!(&stepped, ran, "{:?}: Stepper diverged from Simulator::run", mode);
         }
     }
 
@@ -217,10 +267,10 @@ proptest! {
     fn max_rounds_boundary_identical(n in 2usize..10, gseed in 0u64..200, seed in 0u64..100) {
         let g = connected_graph(n, gseed);
         let faults = FaultPlan::none();
-        let a = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Frontier, 1);
-        let b = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Dense, 1);
+        let (a, _) = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Frontier);
+        let (b, _) = run_once(&g, &faults, seed, None, usize::MAX, EngineMode::Dense);
         prop_assert_eq!(a.rounds, b.rounds);
         prop_assert_eq!(a.rounds, 40, "idle-capable runs still stop exactly at the cap");
-        prop_assert_eq!(a.reason, "max-rounds");
+        prop_assert_eq!(a.reason, StopReason::MaxRounds);
     }
 }

@@ -65,7 +65,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "concurrency-confinement",
-        summary: "std::thread/std::sync primitives in the determinism zone only via sim::pool (Arc exempt)",
+        summary:
+            "no std::thread/std::sync primitives anywhere in the determinism zone (Arc exempt)",
     },
     RuleInfo {
         name: "net-confinement",
@@ -74,7 +75,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "frontier-confinement",
-        summary: "frontier bookkeeping (wake/calendar queues, engine-counter writes) only in sim::engine",
+        summary:
+            "frontier bookkeeping (wake/calendar queues, engine-counter writes) only in sim::engine",
     },
     RuleInfo {
         name: "exhaustive-match",
@@ -82,19 +84,21 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "budget-confinement",
-        summary: "budget debit/credit and per-rumor completion counters written only in sim::stream",
+        summary:
+            "budget debit/credit and per-rumor completion counters written only in sim::stream",
     },
 ];
 
 /// One allowlist entry: suppresses `rule` for every path with the given
-/// prefix. The determinism contract (ISSUE 2) requires this table to
-/// stay **empty for families 1–4**, the model-checking contract
-/// (ISSUE 7) pins it **empty for family 11** — a non-exhaustive
-/// critical match is never sound by exemption — and the streaming
-/// contract (ISSUE 10) pins it **empty for family 12**: a second
-/// writer to the budget ledger or the completion counters would
-/// invalidate every per-rumor curve the bench suite reports. Entries
-/// for the other families must carry a reason and should be rare.
+/// prefix. The determinism contract requires this table to stay
+/// **empty for families 1–4**; it is also pinned **empty for family
+/// 8** — the engine is single-threaded, so no zone code has a reason
+/// to touch OS concurrency — **for family 11** — a non-exhaustive
+/// critical match is never sound by exemption — and **for family 12**:
+/// a second writer to the budget ledger or the completion counters
+/// would invalidate every per-rumor curve the bench suite reports.
+/// Entries for the other families must carry a reason and should be
+/// rare.
 pub struct AllowEntry {
     /// Rule family name the entry suppresses.
     pub rule: &'static str,
@@ -106,24 +110,14 @@ pub struct AllowEntry {
 
 /// The per-crate/per-path allowlist. Add entries here (with a reason)
 /// only for code that *cannot* comply, and never for families 1–4.
-pub const ALLOWLIST: &[AllowEntry] = &[
-    AllowEntry {
-        rule: "concurrency-confinement",
-        path_prefix: "crates/sim/src/trace.rs",
-        reason: "TraceLog must be shareable across engine worker threads; it guards its event \
-                 buffer with a Mutex. Event *interleaving* under contention is scheduling- \
-                 dependent, but every per-round aggregate the tests pin is not, and the engine \
-                 only logs from the coordinator in deterministic order.",
-    },
-    AllowEntry {
-        rule: "lint-hardening",
-        path_prefix: "crates/net/src/lib.rs",
-        reason: "The reactor transport needs one unsafe FFI module (`reactor::sys`, the epoll \
+pub const ALLOWLIST: &[AllowEntry] = &[AllowEntry {
+    rule: "lint-hardening",
+    path_prefix: "crates/net/src/lib.rs",
+    reason: "The reactor transport needs one unsafe FFI module (`reactor::sys`, the epoll \
                  shim), so the crate root downgrades `forbid(unsafe_code)` to `deny` and the \
                  shim re-allows it locally with SAFETY comments. The net-confinement rule keeps \
                  the raw-fd surface pinned to `src/reactor/`.",
-    },
-];
+}];
 
 /// Whether `path` is allowlisted for `rule`.
 fn allowlisted(rule: &str, path: &str) -> bool {
@@ -440,12 +434,12 @@ fn determinism_zone(
 
 /// Family 8 — concurrency confinement.
 ///
-/// The determinism zone may touch OS concurrency only through
-/// `sim::pool` (`crates/sim/src/pool.rs`), whose fixed dispatch and
-/// merge order keeps parallel runs byte-identical to sequential ones.
-/// Ad-hoc threads, locks, channels, or atomics anywhere else in the
-/// zone introduce scheduling-dependent behaviour that no single test
-/// run reliably catches. `Arc` is deliberately *not* banned: immutable
+/// The determinism zone touches no OS concurrency at all: the engine
+/// runs each simulation on the calling thread, and parallelism lives
+/// outside the zone, across independent runs (seeds, trials, bench
+/// cells). Threads, locks, channels, or atomics in the zone would
+/// introduce scheduling-dependent behaviour that no single test run
+/// reliably catches. `Arc` is deliberately *not* banned: immutable
 /// copy-on-write sharing (payload snapshots) has no ordering component.
 fn concurrency_confinement(
     path: &str,
@@ -454,12 +448,10 @@ fn concurrency_confinement(
     spans: &[(usize, usize)],
     out: &mut Vec<Violation>,
 ) {
-    /// The one zone module allowed to own threads and channels.
-    const POOL_MODULE: &str = "crates/sim/src/pool.rs";
     const BANNED: &[&str] = &[
         "Mutex", "RwLock", "Condvar", "Barrier", "OnceLock", "LazyLock", "mpsc",
     ];
-    if !in_zone(DETERMINISM_ZONE, path) || is_test_tree(path) || path == POOL_MODULE {
+    if !in_zone(DETERMINISM_ZONE, path) || is_test_tree(path) {
         return;
     }
     for (i, t) in lexed.toks.iter().enumerate() {
@@ -475,8 +467,8 @@ fn concurrency_confinement(
                 path,
                 t.line,
                 format!(
-                    "`{}` in the determinism zone: OS concurrency is confined to `sim::pool`; \
-                     shard data by ownership or route work through the pool",
+                    "`{}` in the determinism zone: the zone is single-threaded; share by \
+                     ownership, and parallelize across independent runs outside the zone",
                     t.text
                 ),
             );
@@ -494,7 +486,8 @@ fn concurrency_confinement(
                 "concurrency-confinement",
                 path,
                 t.line,
-                "`std::thread` in the determinism zone: spawn workers only via `sim::pool`"
+                "`std::thread` in the determinism zone: the zone is single-threaded; \
+                 parallelize across independent runs outside the zone"
                     .to_string(),
             );
         }

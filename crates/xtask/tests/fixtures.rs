@@ -192,18 +192,18 @@ fn concurrency_confinement_good_passes() {
     );
 }
 
-/// The pool module itself is the sanctioned home for threads and
-/// channels: the same bad fixture is clean when checked at its path.
+/// No zone module is exempt: the bad fixture fires even at the engine's
+/// own path.
 #[test]
-fn concurrency_confinement_pool_module_exempt() {
+fn concurrency_confinement_has_no_exempt_module() {
     let v: Vec<_> = check_rust_file(
-        "crates/sim/src/pool.rs",
+        "crates/sim/src/engine.rs",
         &fixture("concurrency-confinement", "bad.rs"),
     )
     .into_iter()
     .filter(|v| v.rule == "concurrency-confinement")
     .collect();
-    assert!(v.is_empty(), "pool.rs must be exempt: {v:?}");
+    assert!(!v.is_empty(), "no zone path may be exempt");
 }
 
 #[test]
@@ -412,6 +412,16 @@ fn budget_confinement_stream_module_exempt() {
 
 /// Like families 1–4 and 11, family 12's allowlist is pinned empty: a
 /// second writer to the stream accounting is never sound by exemption.
+#[test]
+fn concurrency_confinement_allowlist_is_empty() {
+    assert!(
+        xtask::rules::ALLOWLIST
+            .iter()
+            .all(|e| e.rule != "concurrency-confinement"),
+        "concurrency-confinement must not be allowlisted"
+    );
+}
+
 #[test]
 fn budget_confinement_allowlist_is_empty() {
     assert!(

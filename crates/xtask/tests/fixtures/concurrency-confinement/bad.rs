@@ -1,5 +1,5 @@
-//! Bad: ad-hoc concurrency primitives inside the determinism zone.
-//! Threads, locks, channels, and atomics outside `sim::pool` make the
+//! Bad: concurrency primitives inside the determinism zone, which is
+//! single-threaded. Threads, locks, channels, and atomics make the
 //! schedule (and therefore replay) depend on the OS.
 
 use std::sync::atomic::AtomicU64;
